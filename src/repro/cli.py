@@ -41,7 +41,6 @@ import argparse
 import json
 import sys
 import time
-from pathlib import Path
 from typing import Sequence
 
 from repro import __version__, quick_compare
@@ -84,6 +83,17 @@ from repro.workloads.suites import get_suite, list_suites, use_suites_file
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (budgets, job counts)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -95,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_runner_args(p: argparse.ArgumentParser, default_hw: str = "edge-sim") -> None:
         p.add_argument("--hardware", default=default_hw, help="hardware preset name")
-        p.add_argument("--budget", type=int, default=60, help="tiling search budget")
+        p.add_argument("--budget", type=_positive_int, default=60, help="tiling search budget")
         p.add_argument("--no-search", action="store_true", help="use heuristic tilings only")
         p.add_argument(
             "--networks", nargs="*", default=None, help="subset of suite entries"
@@ -122,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", dest="json_path", default=None, help="also dump results as JSON")
         p.add_argument(
             "--jobs",
-            type=int,
+            type=_positive_int,
             default=1,
             help="worker processes for the (method, network) matrix (1 = serial)",
         )
@@ -213,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablation", help="design-choice ablations")
     p.add_argument("which", choices=["overwrite", "tiling", "search"])
-    p.add_argument("--budget", type=int, default=40)
+    p.add_argument("--budget", type=_positive_int, default=40)
 
     p = sub.add_parser("timeline", help="ASCII Gantt timeline of two dataflows on one network")
     p.add_argument("network", help="Table-1 network name (prefix match)")
@@ -293,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "obs",
-        help="observability toolchain: span traces ($MAS_TRACE) and service metrics",
+        help="observability toolchain: span traces ($MAS_TRACE), service metrics "
+        "and the perf trajectory",
     )
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
 
@@ -339,56 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="re-fetch and re-render every SECONDS until interrupted "
-        "(terminal-only live polling without the dashboard)",
-    )
-
-    op = obs_sub.add_parser(
-        "serve",
-        help="live observability dashboard: scrape a store fleet's /metrics, "
-        "tail the $MAS_TRACE span file, stream both over HTTP/SSE",
-    )
-    op.add_argument(
-        "target",
-        help="what to scrape: shard:http://a:8787,http://b:8787, a single "
-        "http://host:port, or a comma-separated endpoint list",
-    )
-    op.add_argument(
-        "--trace",
-        default=None,
-        help="span-trace JSONL file to tail (default: $MAS_TRACE)",
-    )
-    op.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        help="perf-trajectory history file served at /api/obs/bench",
-    )
-    op.add_argument(
-        "--interval",
-        type=float,
-        default=None,
-        help="scrape interval in seconds (default: $MAS_OBS_INTERVAL)",
-    )
-    op.add_argument("--host", default="127.0.0.1", help="bind address")
-    op.add_argument(
-        "--port", type=int, default=8790, help="TCP port (0 picks a free one)"
-    )
-    op.add_argument(
-        "--verbose", action="store_true", help="log every request to stderr"
-    )
-
-    op = obs_sub.add_parser(
-        "profile",
-        help="aggregate the pstats files persisted by MAS_PROFILE into one "
-        "hotspot report",
-    )
-    op.add_argument("trace", help="span-trace JSONL file (written under $MAS_TRACE)")
-    op.add_argument("--top", type=int, default=20, help="functions/spans to show")
-    op.add_argument(
-        "--sort",
-        default="cumulative",
-        choices=("cumulative", "tottime", "ncalls"),
-        help="pstats sort order for the aggregate table",
+        help="re-fetch and re-render every SECONDS until interrupted",
     )
 
     op = obs_sub.add_parser(
@@ -456,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         "parameter", choices=["l1_bytes", "dram_bytes_per_cycle", "vec_throughput"]
     )
     p.add_argument("--network", default="BERT-Base")
-    p.add_argument("--budget", type=int, default=30)
+    p.add_argument("--budget", type=_positive_int, default=30)
     p.add_argument("--no-search", action="store_true")
 
     return parser
@@ -627,7 +589,7 @@ def _run_cache_store_command(args: argparse.Namespace, store) -> int:
 
 
 def _run_obs_command(args: argparse.Namespace) -> int:
-    """The ``mas-attention obs`` group: traces, metrics, dashboard, trajectory."""
+    """The ``mas-attention obs`` group: traces, service metrics, perf trajectory."""
     from repro.obs.export import read_trace, write_chrome
     from repro.obs.schema import validate_trace_file
     from repro.obs.summary import summarize_trace
@@ -693,33 +655,6 @@ def _run_obs_command(args: argparse.Namespace) -> int:
             except KeyboardInterrupt:
                 return 0
             print(f"\n--- {args.uri} (every {args.watch:g}s, Ctrl-C stops) ---")
-
-    if args.obs_command == "serve":
-        from repro.obs.collect import FleetCollector, endpoints_for
-        from repro.obs.dash import ObsState, serve_dashboard
-        from repro.utils import env as env_registry
-
-        trace_path = args.trace or env_registry.value("MAS_TRACE")
-        collector = FleetCollector(
-            endpoints_for(args.target),
-            interval=args.interval,
-            trace_path=trace_path,
-        )
-        state = ObsState(
-            collector=collector,
-            target=args.target,
-            trace_path=Path(trace_path) if trace_path else None,
-            history_path=Path(args.history) if args.history else None,
-        )
-        return serve_dashboard(
-            state, host=args.host, port=args.port, verbose=args.verbose
-        )
-
-    if args.obs_command == "profile":
-        from repro.obs.profile import format_hotspots
-
-        print(format_hotspots(args.trace, top=max(args.top, 1), sort=args.sort))
-        return 0
 
     if args.obs_command == "bench":
         return _run_obs_bench(args)
@@ -821,7 +756,8 @@ def _emit(text: str, result: object, json_path: str | None) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     # Register user suites before any command resolves a suite spec.  The
     # explicit flag *replaces* its $MAS_SUITES_FILE default (which otherwise
@@ -954,6 +890,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     runner = _make_runner(args)
+    if args.networks:
+        try:
+            runner.networks(args.networks)
+        except KeyError as exc:
+            parser.exit(2, f"{parser.prog}: error: {exc.args[0]}\n")
     if args.stream:
         _stream_matrix(runner, args.networks)
     if args.command == "table2":

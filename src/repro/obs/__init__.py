@@ -1,25 +1,20 @@
-"""Unified observability layer: span tracing, metrics, fleet dashboard.
+"""Unified observability layer: span tracing, metrics, exporters.
 
 The pieces, one import point:
 
 * :mod:`repro.obs.trace` — cross-process/cross-wire span tracing of the
   sweep → pair → search-generation → store-op → HTTP-request path,
-  enabled by ``MAS_TRACE=<path>`` (JSONL output), with optional per-span
-  cProfile via ``MAS_PROFILE``;
+  enabled by ``MAS_TRACE=<path>`` (JSONL output);
 * :mod:`repro.obs.metrics` — counters, gauges and latency histograms with
-  p50/p95/p99 and cross-source merge, shared by the store service, the
-  shard fleet, the retry layer and the result cache;
+  p50/p95/p99, shared by the store service, the shard fleet, the retry
+  layer and the result cache;
 * :mod:`repro.obs.prom` / :mod:`repro.obs.export` — Prometheus text
-  exposition (render *and* parse) and Chrome trace-event conversion;
-* :mod:`repro.obs.collect` / :mod:`repro.obs.dash` — the fleet collector
-  and live HTML/SSE dashboard behind ``mas-attention obs serve``;
+  exposition and Chrome trace-event conversion;
 * :mod:`repro.obs.bench` — the perf-trajectory history and regression
-  gate behind ``mas-attention obs bench record|compare|check``;
-* :mod:`repro.obs.profile` — hotspot aggregation of persisted span
-  profiles behind ``mas-attention obs profile``.
+  gate behind ``mas-attention obs bench record|compare|check``.
 
-``mas-attention obs summarize|convert|metrics|validate|serve|profile|bench``
-is the CLI surface; ``docs/observability.md`` is the guide.
+``mas-attention obs summarize|convert|validate|metrics|bench`` is the CLI
+surface; ``docs/observability.md`` is the guide.
 """
 
 from repro.obs.metrics import (

@@ -323,7 +323,7 @@ def history_payload(
     window: int = DEFAULT_WINDOW,
     rules: tuple[Rule, ...] = DEFAULT_RULES,
 ) -> dict[str, Any]:
-    """The dashboard's ``/api/obs/bench`` document: runs + latest report."""
+    """JSON view of a history file: its runs plus the latest trajectory report."""
     entries = load_history(history_path)
     runs: dict[str, dict[str, Any]] = {}
     for entry in entries:

@@ -248,37 +248,3 @@ register(
     "Search budget per configuration of the candidate-throughput benchmark "
     "(`benchmarks/bench_parallel_runner.py::test_search_throughput_analytic`).",
 )
-register(
-    "MAS_PROFILE",
-    None,
-    "Per-span cProfile hook: a span layer name (`runner`, `search`, `store`, "
-    "`http`, `service`), a comma-separated list of layers, or `all`. Matching "
-    "spans run under a profiler and spans slower than `MAS_PROFILE_MIN_MS` "
-    "persist their pstats next to the trace file; `mas-attention obs profile` "
-    "aggregates the hotspots. Unset (the default) disables profiling.",
-)
-register(
-    "MAS_PROFILE_MIN_MS",
-    "10",
-    "Minimum span duration, in milliseconds, for a profiled span's pstats "
-    "file to be kept. Faster spans are profiled but their stats discarded.",
-)
-register(
-    "MAS_PROFILE_DIR",
-    None,
-    "Directory for persisted span pstats files. Default: `<MAS_TRACE>.prof.d` "
-    "next to the trace file, or `mas_profile` in the working directory when "
-    "tracing is off.",
-)
-register(
-    "MAS_OBS_INTERVAL",
-    "2",
-    "Fleet-collector scrape interval, in seconds, for `mas-attention obs "
-    "serve` (how often every endpoint's `/metrics` is polled and merged).",
-)
-register(
-    "MAS_OBS_RING",
-    "512",
-    "Bounded ring size of timestamped fleet snapshots (and buffered live "
-    "span events) kept in memory by the observability collector.",
-)

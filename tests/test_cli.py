@@ -140,6 +140,24 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["timeline", "ViT-B/14", "--methods", "warp"])
 
+    def test_unknown_network_is_a_one_line_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table2", "--no-search", "--networks", "NoSuchNet"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mas-attention: error: unknown table1 entry 'NoSuchNet'")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--budget", "-3"), ("--budget", "0"), ("--jobs", "0")]
+    )
+    def test_non_positive_counts_are_usage_errors(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["table2", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: must be a positive integer, got {value}" in err
+
     def test_sweep_command(self, capsys):
         code = main(["sweep", "vec_throughput", "--network", "ViT-B/14", "--no-search"])
         assert code == 0
