@@ -1,10 +1,10 @@
 """Setuptools shim.
 
-The canonical build configuration lives in ``pyproject.toml``; this file only
-exists so that ``pip install -e .`` works in offline environments whose
-setuptools/pip combination lacks the ``wheel`` package required for PEP 660
-editable installs (pip falls back to ``setup.py develop`` with
-``--no-use-pep517``).
+The canonical build configuration lives in ``pyproject.toml``
+(``pip install -e ".[test]"``).  This file only exists for offline
+environments whose setuptools lacks the ``wheel`` package that pip needs for
+editable installs: there, ``python setup.py develop --no-deps`` installs the
+package and the ``mas-attention`` command from the same metadata.
 """
 
 from setuptools import setup

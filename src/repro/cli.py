@@ -63,7 +63,7 @@ from repro.analysis import (
     run_table3,
     run_tiling_ablation,
 )
-from repro.hardware.presets import get_preset
+from repro.hardware.presets import PRESETS, get_preset
 from repro.schedulers.registry import list_schedulers, make_scheduler
 from repro.store import (
     EvictionPolicy,
@@ -94,6 +94,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _preset_name(text: str) -> str:
+    """argparse type for ``--hardware``: the name of a registered preset."""
+    if text not in PRESETS:
+        raise argparse.ArgumentTypeError(
+            f"unknown hardware preset {text!r}; available: {sorted(PRESETS)}"
+        )
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -104,7 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_runner_args(p: argparse.ArgumentParser, default_hw: str = "edge-sim") -> None:
-        p.add_argument("--hardware", default=default_hw, help="hardware preset name")
+        p.add_argument(
+            "--hardware", type=_preset_name, default=default_hw, help="hardware preset name"
+        )
         p.add_argument("--budget", type=_positive_int, default=60, help="tiling search budget")
         p.add_argument("--no-search", action="store_true", help="use heuristic tilings only")
         p.add_argument(
@@ -198,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="untuned comparison of all methods on one network")
     p.add_argument("network", help="Table-1 network name (prefix match)")
-    p.add_argument("--hardware", default="edge-sim")
+    p.add_argument("--hardware", type=_preset_name, default="edge-sim")
 
     for name, help_text in (
         ("table2", "Table 2: cycles and speedups"),
@@ -214,11 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_runner_args(p, default_hw="davinci-like")
 
     p = sub.add_parser("limits", help="Section 5.6: maximum sequence length limits")
-    p.add_argument("--hardware", default="edge-sim")
+    p.add_argument("--hardware", type=_preset_name, default="edge-sim")
     p.add_argument("--emb", type=int, default=64)
 
     p = sub.add_parser("sdunet", help="Section 5.2.2: Stable Diffusion 1.5 reduced UNet")
-    p.add_argument("--hardware", default="davinci-like")
+    p.add_argument("--hardware", type=_preset_name, default="davinci-like")
     p.add_argument("--search", action="store_true", help="grid-search tilings per unit")
 
     p = sub.add_parser("ablation", help="design-choice ablations")
@@ -228,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("timeline", help="ASCII Gantt timeline of two dataflows on one network")
     p.add_argument("network", help="Table-1 network name (prefix match)")
     p.add_argument("--methods", nargs="*", default=["flat", "mas"])
-    p.add_argument("--hardware", default="edge-sim")
+    p.add_argument("--hardware", type=_preset_name, default="edge-sim")
     p.add_argument("--width", type=int, default=100)
 
     p = sub.add_parser("cache", help="inspect and manage the persistent result store")
@@ -889,6 +900,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(result.format())
         return 0
 
+    # Bad input resolved only after parsing (suite specs may name suites from
+    # --suites-file) is a one-line usage error, not a traceback.
+    try:
+        get_suite(_suite_spec(args))
+    except (KeyError, ValueError) as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc.args[0]}\n")
     runner = _make_runner(args)
     if args.networks:
         try:

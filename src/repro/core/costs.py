@@ -11,7 +11,10 @@ overlapped.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from repro.hardware.compute_units import (
     elementwise_cycles,
@@ -85,14 +88,44 @@ def partition_blocks(
 
 @dataclass(frozen=True)
 class TaskCost:
-    """Cycle count plus access counters for one task."""
+    """Cycle count plus access counters for one task.
+
+    ``counters`` is a read-only mapping: :class:`TileCosts` hands the same
+    memoized instance to every task of a shape, so no caller may change it.
+    """
 
     cycles: int
-    counters: dict[str, int]
+    counters: Mapping[str, int]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "counters", MappingProxyType(dict(self.counters)))
+
+
+def _memoized(price: Callable[..., TaskCost]) -> Callable[..., TaskCost]:
+    """Price each distinct argument tuple once per :class:`TileCosts` instance.
+
+    Every argument of a memoized primitive is a plain shape number, so the
+    arguments are the cache key.
+    """
+    name = price.__name__
+
+    @functools.wraps(price)
+    def cached(self: "TileCosts", *shape: int) -> TaskCost:
+        key = (name, *shape)
+        cost = self._memo.get(key)
+        if cost is None:
+            cost = self._memo[key] = price(self, *shape)
+        return cost
+
+    return cached
 
 
 class TileCosts:
-    """Cost primitives for the tile tasks of one workload on one device."""
+    """Cost primitives for the tile tasks of one workload on one device.
+
+    The primitives depend only on tile shapes, which repeat across the blocks
+    and tiles of a graph, so each distinct shape is priced once per instance.
+    """
 
     def __init__(
         self, workload: AttentionWorkload, hardware: HardwareConfig, tiling: TilingConfig
@@ -102,6 +135,7 @@ class TileCosts:
         self.hardware = hardware
         self.tiling = tiling
         self.dtype = workload.dtype_bytes
+        self._memo: dict[tuple, TaskCost] = {}
         # Actual row counts of every K/V sub-matrix tile.
         self.kv_tile_rows: list[int] = []
         remaining = workload.seq_kv
@@ -113,12 +147,14 @@ class TileCosts:
     # ------------------------------------------------------------------ #
     # DMA transfers
     # ------------------------------------------------------------------ #
+    @_memoized
     def _load(self, num_bytes: int) -> TaskCost:
         return TaskCost(
             cycles=dma_cycles(self.hardware, num_bytes),
             counters={"dram_bytes_read": num_bytes, "l1_bytes_written": num_bytes},
         )
 
+    @_memoized
     def _store(self, num_bytes: int) -> TaskCost:
         return TaskCost(
             cycles=dma_cycles(self.hardware, num_bytes),
@@ -176,6 +212,7 @@ class TileCosts:
     # ------------------------------------------------------------------ #
     # Compute tasks
     # ------------------------------------------------------------------ #
+    @_memoized
     def _matmul(self, m: int, k: int, n: int, group: int) -> TaskCost:
         cycles = group * matmul_cycles(self.hardware.mac, m, k, n)
         macs = group * matmul_macs(m, k, n)
@@ -203,11 +240,15 @@ class TileCosts:
 
     def softmax(self, block: Block) -> TaskCost:
         """Row-wise softmax of the full score block on the VEC unit."""
-        rows = block.group_size * block.rows
+        return self._softmax(block.group_size, block.rows)
+
+    @_memoized
+    def _softmax(self, group: int, block_rows: int) -> TaskCost:
+        rows = group * block_rows
         cols = self.workload.seq_kv
         cycles = softmax_cycles(self.hardware.vec, rows, cols)
         ops = softmax_vec_ops(rows, cols, self.hardware.vec)
-        score = self.score_bytes(block)
+        score = rows * cols * self.dtype
         return TaskCost(
             cycles=cycles,
             counters={
@@ -226,14 +267,21 @@ class TileCosts:
         pays correction operations per element of the running output
         accumulator (running-max update, rescale, running-sum update).
         """
-        rows = block.group_size * block.rows
-        cols = self.kv_tile_rows[tile]
+        return self._softmax_tile(
+            block.group_size, block.rows, self.kv_tile_rows[tile], correction_ops_per_element
+        )
+
+    @_memoized
+    def _softmax_tile(
+        self, group: int, block_rows: int, cols: int, correction_ops_per_element: int
+    ) -> TaskCost:
+        rows = group * block_rows
         base_cycles = softmax_cycles(self.hardware.vec, rows, cols)
         base_ops = softmax_vec_ops(rows, cols, self.hardware.vec)
-        acc_elems = block.group_size * block.rows * self.workload.emb
+        acc_elems = rows * self.workload.emb
         corr_cycles = elementwise_cycles(self.hardware.vec, acc_elems, correction_ops_per_element)
         corr_ops = elementwise_vec_ops(acc_elems, correction_ops_per_element)
-        tile_bytes = self.score_tile_bytes(block, tile)
+        tile_bytes = rows * cols * self.dtype
         acc_bytes = acc_elems * self.dtype
         return TaskCost(
             cycles=base_cycles + corr_cycles,
@@ -248,7 +296,11 @@ class TileCosts:
 
     def output_normalize(self, block: Block) -> TaskCost:
         """Final O_i normalization by the softmax denominator (FuseMax epilogue)."""
-        elems = block.group_size * block.rows * self.workload.emb
+        return self._output_normalize(block.group_size, block.rows)
+
+    @_memoized
+    def _output_normalize(self, group: int, block_rows: int) -> TaskCost:
+        elems = group * block_rows * self.workload.emb
         cycles = elementwise_cycles(self.hardware.vec, elems, 1)
         ops = elementwise_vec_ops(elems, 1)
         o_bytes = elems * self.dtype

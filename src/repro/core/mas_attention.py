@@ -288,18 +288,11 @@ class _MASCoreEmitter:
         deps: list[Task] = [interrupted]
         if trigger is not None:
             deps.append(trigger)
-        reload_cost = TaskCost(
-            cycles=self.costs._load(event.reload_bytes).cycles,
-            counters={
-                "dram_bytes_read": event.reload_bytes,
-                "l1_bytes_written": event.reload_bytes,
-            },
-        )
         reload = self._add(
             f"c{self.core}.reload_{event.victim}.{block.label()}",
             TaskKind.LOAD,
             self.dma,
-            reload_cost,
+            self.costs._load(event.reload_bytes),
             deps=deps,
             operand=event.victim,
             block=block.index,

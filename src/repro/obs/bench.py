@@ -37,7 +37,6 @@ __all__ = [
     "TrajectoryReport",
     "compare",
     "flatten_metrics",
-    "history_payload",
     "load_history",
     "load_rules",
     "record_runs",
@@ -211,19 +210,6 @@ class MetricDelta:
             return 0.0
         return (self.current - self.baseline) / self.baseline * 100.0
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "benchmark": self.benchmark,
-            "metric": self.metric,
-            "current": self.current,
-            "baseline": round(self.baseline, 6),
-            "delta_pct": round(self.delta_pct, 2),
-            "samples": self.samples,
-            "direction": self.rule.direction,
-            "tolerance": self.rule.tolerance,
-            "regressed": self.regressed,
-        }
-
 
 @dataclass(frozen=True)
 class TrajectoryReport:
@@ -256,13 +242,6 @@ class TrajectoryReport:
             lines.append("  (no gated metrics in history)")
         verdict = "PASS" if self.ok else f"FAIL ({len(self.regressions)} regression(s))"
         return "perf trajectory: " + verdict + "\n" + "\n".join(lines)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "deltas": [delta.as_dict() for delta in self.deltas],
-            "fresh": list(self.fresh),
-        }
 
 
 def compare(
@@ -315,26 +294,3 @@ def compare(
                 )
             )
     return TrajectoryReport(deltas=tuple(deltas), fresh=tuple(sorted(fresh)))
-
-
-def history_payload(
-    history_path: str | Path,
-    *,
-    window: int = DEFAULT_WINDOW,
-    rules: tuple[Rule, ...] = DEFAULT_RULES,
-) -> dict[str, Any]:
-    """JSON view of a history file: its runs plus the latest trajectory report."""
-    entries = load_history(history_path)
-    runs: dict[str, dict[str, Any]] = {}
-    for entry in entries:
-        run = runs.setdefault(
-            str(entry["run"]), {"run": entry["run"], "ts": entry.get("ts"), "benchmarks": []}
-        )
-        run["benchmarks"].append(entry["name"])
-    payload: dict[str, Any] = {
-        "history": str(history_path),
-        "entries": len(entries),
-        "runs": list(runs.values()),
-    }
-    payload["report"] = compare(entries, window=window, rules=rules).as_dict() if entries else None
-    return payload

@@ -23,132 +23,137 @@ tasks (no resource) complete as soon as their dependencies do.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 
 from repro.sim.tasks import TaskGraph
-from repro.sim.trace import TaskRecord, Trace
+from repro.sim.trace import Trace
 
 __all__ = ["simulate_graph", "critical_path_cycles", "OUT_OF_ORDER_RESOURCES"]
 
 #: Resource names served out of order (readiness order) rather than program order.
 OUT_OF_ORDER_RESOURCES: tuple[str, ...] = ("dma",)
 
+#: Start time that loses to every real candidate.
+_NEVER = float("inf")
+
 
 def simulate_graph(
     graph: TaskGraph, out_of_order_resources: tuple[str, ...] = OUT_OF_ORDER_RESOURCES
 ) -> Trace:
-    """Schedule ``graph`` and return the resulting :class:`Trace`."""
-    graph.validate()
-    n = len(graph)
-    if n == 0:
-        return Trace(records=[])
+    """Schedule ``graph`` and return the resulting :class:`Trace`.
 
-    ooo = set(out_of_order_resources)
-    remaining_deps = [len(set(t.deps)) for t in graph]
-    ready_time = [0] * n          # max finish over resolved deps
-    finish = [0] * n
-    start = [0] * n
-    scheduled = [False] * n
+    Tasks were validated when they were added to the graph.  The per-task
+    inputs (cycles, integer resource id, deduplicated deps) are flattened into
+    lists once, so the dispatch loop touches no :class:`Task` object.
+    """
+    tasks = graph.tasks
+    n = len(tasks)
+
+    # Resource ids in first-use order; -1 marks a zero-cost barrier.
+    resource_ids: dict[str, int] = {}
+    res_of = [
+        resource_ids.setdefault(t.resource, len(resource_ids)) if t.resource else -1
+        for t in tasks
+    ]
+    cycles = [t.cycles for t in tasks]
+    ooo = [name in out_of_order_resources for name in resource_ids]
+    rids = range(len(resource_ids))
+
+    # ``n`` closes every program-order queue; it never becomes dependency-free.
+    remaining_deps = [0] * n + [1]
     dependents: list[list[int]] = [[] for _ in range(n)]
-    for task in graph:
-        for dep in set(task.deps):
-            dependents[dep].append(task.tid)
+    for tid, task in enumerate(tasks):
+        deps = task.deps
+        if len(deps) > 1:
+            deps = dict.fromkeys(deps)
+        remaining_deps[tid] = len(deps)
+        for dep in deps:
+            dependents[dep].append(tid)
 
-    # Per-resource issue structures.
-    inorder_queue: dict[str, deque[int]] = {}
-    ooo_ready: dict[str, list[tuple[int, int]]] = {}  # heap of (ready_time, tid)
-    resource_free: dict[str, int] = {}
-    for task in graph:
-        res = task.resource
-        if not res:
-            continue
-        resource_free.setdefault(res, 0)
-        if res in ooo:
-            ooo_ready.setdefault(res, [])
-        else:
-            inorder_queue.setdefault(res, deque()).append(task.tid)
+    ready_time = [0] * n          # max finish over resolved deps
+    start = [0] * n
+    finish = [0] * n
 
-    # Barrier (resource-less) tasks and newly dependency-free tasks are
-    # resolved eagerly; compute/DMA tasks wait for dispatch.
-    zero_dep_ready: deque[int] = deque(t.tid for t in graph if remaining_deps[t.tid] == 0)
-    done_count = [0]  # mutable so the nested helpers can update it
+    # In-order units issue from a program-order queue (read at ``head``),
+    # out-of-order units from a heap of (ready_time, tid).
+    queues: list[list[int]] = [[] for _ in rids]
+    for tid, rid in enumerate(res_of):
+        if rid >= 0 and not ooo[rid]:
+            queues[rid].append(tid)
+    for queue in queues:
+        queue.append(n)
+    head = [0 for _ in rids]
+    heaps: list[list[tuple[int, int]]] = [[] for _ in rids]
+    free = [0 for _ in rids]
+    inorder = [(rid, queues[rid]) for rid in rids if not ooo[rid]]
+    ooo_heaps = [(rid, heaps[rid]) for rid in rids if ooo[rid]]
 
-    def resolve(tid: int) -> None:
-        """Mark ``tid`` as dependency-free: barriers complete, DMA tasks become issuable."""
-        task = graph[tid]
-        if not task.resource:
-            # Zero-cost barrier: completes at its ready time.
-            start[tid] = ready_time[tid]
-            finish[tid] = ready_time[tid] + task.cycles
-            scheduled[tid] = True
-            done_count[0] += 1
-            propagate(tid)
-        elif task.resource in ooo:
-            heapq.heappush(ooo_ready[task.resource], (ready_time[tid], tid))
-        # In-order tasks stay in their program-order queue; readiness is
-        # checked when they reach the queue head.
+    # ``finished`` holds tasks whose dependents have not been counted down
+    # yet.  A barrier completes the moment its dependencies do; a DMA task
+    # joins its heap then; an in-order task waits to reach its queue head.
+    done = 0
+    finished: list[int] = []
+    for tid in range(n):
+        if remaining_deps[tid] == 0:
+            rid = res_of[tid]
+            if rid < 0:
+                finish[tid] = cycles[tid]
+                done += 1
+                finished.append(tid)
+            elif ooo[rid]:
+                heapq.heappush(heaps[rid], (0, tid))
 
-    def propagate(tid: int) -> None:
-        """Update dependents after ``tid`` finished (or was resolved as a barrier)."""
-        for dep_tid in dependents[tid]:
-            ready_time[dep_tid] = max(ready_time[dep_tid], finish[tid])
-            remaining_deps[dep_tid] -= 1
-            if remaining_deps[dep_tid] == 0:
-                resolve(dep_tid)
+    while True:
+        while finished:
+            tid = finished.pop()
+            at = finish[tid]
+            for d in dependents[tid]:
+                if ready_time[d] < at:
+                    ready_time[d] = at
+                remaining_deps[d] -= 1
+                if remaining_deps[d] == 0:
+                    rid = res_of[d]
+                    if rid < 0:
+                        start[d] = ready_time[d]
+                        finish[d] = ready_time[d] + cycles[d]
+                        done += 1
+                        finished.append(d)
+                    elif ooo[rid]:
+                        heapq.heappush(heaps[rid], (ready_time[d], d))
+        if done == n:
+            break
 
-    while zero_dep_ready:
-        resolve(zero_dep_ready.popleft())
-
-    while done_count[0] < n:
-        # Gather one candidate per resource and dispatch the earliest-startable.
-        best: tuple[int, int, str] | None = None  # (start, tid, resource)
-        for res, queue in inorder_queue.items():
-            while queue and scheduled[queue[0]]:
-                queue.popleft()
-            if not queue:
+        # One candidate per resource; dispatch the earliest-startable, the
+        # lowest task id first among equals.
+        best_start, best_tid, best_rid = _NEVER, n, -1
+        for rid, queue in inorder:
+            tid = queue[head[rid]]
+            if remaining_deps[tid]:
                 continue
-            tid = queue[0]
-            if remaining_deps[tid] > 0:
-                continue
-            candidate_start = max(ready_time[tid], resource_free[res])
-            if best is None or (candidate_start, tid) < (best[0], best[1]):
-                best = (candidate_start, tid, res)
-        for res, heap in ooo_ready.items():
-            while heap and scheduled[heap[0][1]]:
-                heapq.heappop(heap)
+            at = ready_time[tid]
+            if at < free[rid]:
+                at = free[rid]
+            if at < best_start or (at == best_start and tid < best_tid):
+                best_start, best_tid, best_rid = at, tid, rid
+        for rid, heap in ooo_heaps:
             if not heap:
                 continue
-            task_ready, tid = heap[0]
-            candidate_start = max(task_ready, resource_free[res])
-            if best is None or (candidate_start, tid) < (best[0], best[1]):
-                best = (candidate_start, tid, res)
-
-        if best is None:
-            unscheduled = [t.name for t in graph if not scheduled[t.tid]][:5]
-            raise RuntimeError(
-                "scheduling deadlock: no issuable task among "
-                f"{n - done_count[0]} unscheduled (first: {unscheduled})"
-            )
-
-        task_start, tid, res = best
-        task = graph[tid]
-        start[tid] = task_start
-        finish[tid] = task_start + task.cycles
-        resource_free[res] = finish[tid]
-        scheduled[tid] = True
-        done_count[0] += 1
-        if res in ooo:
-            # The dispatched task is the heap head by construction (stale
-            # entries were popped during candidate gathering).
-            if ooo_ready[res] and ooo_ready[res][0][1] == tid:
-                heapq.heappop(ooo_ready[res])
+            at, tid = heap[0]
+            if at < free[rid]:
+                at = free[rid]
+            if at < best_start or (at == best_start and tid < best_tid):
+                best_start, best_tid, best_rid = at, tid, rid
+        if best_rid < 0:  # unreachable while deps only name earlier tasks
+            raise RuntimeError(f"scheduling deadlock: {n - done} tasks left, none issuable")
+        if ooo[best_rid]:
+            heapq.heappop(heaps[best_rid])
         else:
-            if inorder_queue[res] and inorder_queue[res][0] == tid:
-                inorder_queue[res].popleft()
-        propagate(tid)
+            head[best_rid] += 1
+        start[best_tid] = best_start
+        finish[best_tid] = free[best_rid] = best_start + cycles[best_tid]
+        done += 1
+        finished.append(best_tid)
 
-    records = [TaskRecord(task=task, start=start[task.tid], finish=finish[task.tid]) for task in graph]
-    return Trace(records=records)
+    return Trace(graph, start, finish)
 
 
 def critical_path_cycles(graph: TaskGraph) -> int:
@@ -157,7 +162,6 @@ def critical_path_cycles(graph: TaskGraph) -> int:
     Useful as an idealized lower bound: a schedule can never beat the critical
     path even with infinitely many compute units.
     """
-    graph.validate()
     finish: list[int] = [0] * len(graph)
     for task in graph:
         ready = max((finish[d] for d in task.deps), default=0)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
-from repro.utils.validation import require
+from repro.hardware.energy import AccessCounters
 
 
 class TaskKind(str, Enum):
@@ -51,9 +51,24 @@ def dma_resource() -> str:
     return "dma"
 
 
-@dataclass
+#: Per-task access/operation counters, in :class:`Task` field order.
+COUNTER_FIELDS: tuple[str, ...] = (
+    "dram_bytes_read",
+    "dram_bytes_written",
+    "l1_bytes_read",
+    "l1_bytes_written",
+    "l0_bytes_read",
+    "l0_bytes_written",
+    "mac_ops",
+    "vec_ops",
+)
+
+
+@dataclass(slots=True)
 class Task:
     """One tile-level unit of work bound to a hardware resource.
+
+    Tasks are created and validated by :meth:`TaskGraph.add`.
 
     Attributes
     ----------
@@ -97,20 +112,6 @@ class Task:
     vec_ops: int = 0
     tags: dict[str, object] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        require(self.cycles >= 0, f"task {self.name!r}: cycles must be >= 0")
-        for attr in (
-            "dram_bytes_read",
-            "dram_bytes_written",
-            "l1_bytes_read",
-            "l1_bytes_written",
-            "l0_bytes_read",
-            "l0_bytes_written",
-            "mac_ops",
-            "vec_ops",
-        ):
-            require(getattr(self, attr) >= 0, f"task {self.name!r}: {attr} must be >= 0")
-
 
 class TaskGraph:
     """A DAG of :class:`Task` objects with per-resource program order.
@@ -118,11 +119,16 @@ class TaskGraph:
     Tasks are added in *program order*; for tasks sharing a resource this
     insertion order is the order in which the resource executes them, exactly
     like a statically scheduled instruction stream per engine.
+
+    :meth:`add` is the one place a task is validated, and the graph sums every
+    task's access counters as it is appended (:meth:`counters`), so a
+    simulation result needs no second pass over the tasks.
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._tasks: list[Task] = []
+        self._totals: dict[str, int] = dict.fromkeys(COUNTER_FIELDS, 0)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -134,23 +140,31 @@ class TaskGraph:
         resource: str,
         cycles: int,
         deps: Iterable[int] | Iterable[Task] = (),
-        **counters: object,
+        tags: dict[str, object] | None = None,
+        **counters: int,
     ) -> Task:
-        """Append a task and return it.  ``deps`` may be task ids or tasks."""
-        dep_ids = tuple(d.tid if isinstance(d, Task) else int(d) for d in deps)
+        """Append a task and return it.  ``deps`` may be task ids or tasks.
+
+        Raises ``ValueError`` unless every dependency is an earlier task and
+        ``cycles`` and every counter (a :data:`COUNTER_FIELDS` name) are
+        non-negative.
+        """
+        tid = len(self._tasks)
+        dep_ids = tuple([d.tid if isinstance(d, Task) else int(d) for d in deps])
         for dep in dep_ids:
-            require(0 <= dep < len(self._tasks), f"task {name!r}: unknown dependency id {dep}")
-        tags = counters.pop("tags", {})
-        task = Task(
-            tid=len(self._tasks),
-            name=name,
-            kind=kind,
-            resource=resource,
-            cycles=int(cycles),
-            deps=dep_ids,
-            tags=dict(tags),  # type: ignore[arg-type]
-            **{k: int(v) for k, v in counters.items()},  # type: ignore[arg-type]
-        )
+            if not 0 <= dep < tid:
+                raise ValueError(f"task {name!r}: unknown dependency id {dep}")
+        cycles = int(cycles)
+        if cycles < 0:
+            raise ValueError(f"task {name!r}: cycles must be >= 0")
+        for attr, value in counters.items():
+            value = counters[attr] = int(value)
+            if value < 0:
+                raise ValueError(f"task {name!r}: {attr} must be >= 0")
+        task = Task(tid, name, kind, resource, cycles, dep_ids, tags=dict(tags or ()), **counters)
+        totals = self._totals
+        for attr, value in counters.items():
+            totals[attr] += value
         self._tasks.append(task)
         return task
 
@@ -191,11 +205,9 @@ class TaskGraph:
         """Tasks of a given kind, in program order."""
         return [t for t in self._tasks if t.kind == kind]
 
-    def validate(self) -> None:
-        """Check structural invariants (dependency ids in range, acyclic by construction)."""
-        for task in self._tasks:
-            for dep in task.deps:
-                require(dep < task.tid, f"task {task.name!r} depends on a later task {dep}")
+    def counters(self, total_cycles: int = 0) -> AccessCounters:
+        """Access/operation counters summed over every task added so far."""
+        return AccessCounters(**self._totals, total_cycles=total_cycles)
 
     def total_cycles_lower_bound(self) -> int:
         """Max over resources of the summed occupancy — a lower bound on the makespan."""

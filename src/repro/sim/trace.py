@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from repro.hardware.config import HardwareConfig
 from repro.hardware.energy import AccessCounters, EnergyBreakdown
-from repro.sim.tasks import Task, TaskKind
+from repro.sim.tasks import Task, TaskGraph, TaskKind
 from repro.utils.units import cycles_to_seconds
 
 
@@ -23,16 +24,44 @@ class TaskRecord:
         return self.finish - self.start
 
 
-@dataclass
 class Trace:
-    """Full schedule produced by the simulator."""
+    """Full schedule produced by the simulator.
 
-    records: list[TaskRecord] = field(default_factory=list)
+    The engine hands over the scheduled graph plus per-task start/finish
+    lists; the :class:`TaskRecord` list is built on the first read of
+    :attr:`records` (timelines, figures and tests), so a simulation whose
+    caller needs only cycles and counters never creates one.
+    """
+
+    def __init__(
+        self,
+        graph: TaskGraph | None = None,
+        start: Sequence[int] = (),
+        finish: Sequence[int] = (),
+    ) -> None:
+        self._graph = graph if graph is not None else TaskGraph()
+        self._start = start
+        self._finish = finish
+        self._records: list[TaskRecord] | None = None
+        #: Makespan of the schedule in cycles.
+        self.total_cycles: int = max(finish, default=0)
+        self._counters = self._graph.counters(self.total_cycles)
 
     @property
-    def total_cycles(self) -> int:
-        """Makespan of the schedule in cycles."""
-        return max((r.finish for r in self.records), default=0)
+    def records(self) -> list[TaskRecord]:
+        """Scheduled timing of every task, in program order."""
+        if self._records is None:
+            self._records = [
+                TaskRecord(task, s, f) for task, s, f in zip(self._graph, self._start, self._finish)
+            ]
+        return self._records
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.records == other.records
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, compared by value
 
     def records_on(self, resource: str) -> list[TaskRecord]:
         """Records of tasks bound to ``resource``, ordered by start time."""
@@ -60,19 +89,12 @@ class Trace:
         return list(seen)
 
     def counters(self) -> AccessCounters:
-        """Aggregate access/operation counters over the whole trace."""
-        acc = AccessCounters(total_cycles=self.total_cycles)
-        for record in self.records:
-            t = record.task
-            acc.dram_bytes_read += t.dram_bytes_read
-            acc.dram_bytes_written += t.dram_bytes_written
-            acc.l1_bytes_read += t.l1_bytes_read
-            acc.l1_bytes_written += t.l1_bytes_written
-            acc.l0_bytes_read += t.l0_bytes_read
-            acc.l0_bytes_written += t.l0_bytes_written
-            acc.mac_ops += t.mac_ops
-            acc.vec_ops += t.vec_ops
-        return acc
+        """Access/operation counters of the whole schedule.
+
+        The graph summed them as its tasks were added; only ``total_cycles``
+        comes from the schedule.
+        """
+        return replace(self._counters)
 
     def count_kind(self, kind: TaskKind) -> int:
         """Number of tasks of ``kind`` in the trace."""
@@ -156,16 +178,17 @@ def make_result(
     workload_name: str,
     hardware: HardwareConfig,
     trace: Trace,
+    counters: AccessCounters,
     energy: EnergyBreakdown,
     metadata: dict[str, object] | None = None,
 ) -> SimulationResult:
-    """Assemble a :class:`SimulationResult` from a trace and its energy breakdown."""
+    """Assemble a :class:`SimulationResult` from a trace, its counters and energy."""
     return SimulationResult(
         scheduler=scheduler,
         workload_name=workload_name,
         hardware_name=hardware.name,
         trace=trace,
-        counters=trace.counters(),
+        counters=counters,
         energy=energy,
         frequency_hz=hardware.frequency_hz,
         metadata=dict(metadata or {}),

@@ -158,6 +158,31 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"error: argument {flag}: must be a positive integer, got {value}" in err
 
+    @pytest.mark.parametrize("command", ["table2", "fig5", "compare ViT-B/14", "limits"])
+    def test_unknown_hardware_preset_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--hardware", "warp-drive"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --hardware: unknown hardware preset 'warp-drive'" in err
+        assert err.count("error:") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("table1@seq<=", "bad suite modifier 'seq<='"),
+            ("table9", "unknown suite 'table9'"),
+            ("table1@batch=0", "batch"),
+        ],
+    )
+    def test_malformed_suite_spec_is_a_one_line_usage_error(self, capsys, spec, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["table2", "--no-search", "--suite", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mas-attention: error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_sweep_command(self, capsys):
         code = main(["sweep", "vec_throughput", "--network", "ViT-B/14", "--no-search"])
         assert code == 0

@@ -16,7 +16,6 @@ from repro.obs.bench import (
     Rule,
     compare,
     flatten_metrics,
-    history_payload,
     load_history,
     load_rules,
     record_runs,
@@ -136,13 +135,6 @@ class TestPerfTrajectory:
         runs = {entry["run"] for entry in entries}
         assert len(runs) >= 2
         assert compare(entries, rules=DEFAULT_RULES).ok
-
-    def test_history_payload_shape(self, tmp_path):
-        hist = self._record(tmp_path, self.BENCH, "r1")
-        payload = history_payload(hist)
-        assert payload["entries"] == 2
-        assert payload["runs"][0]["run"] == "r1"
-        assert payload["report"]["ok"] is True
 
 
 # --------------------------------------------------------------------------- #
