@@ -6,11 +6,12 @@ checks that all four produce identical results, and reports the wall times.
 The warm-cache sweep is the benchmarked path: it must perform zero search
 evaluations and is the steady state of repeated table/figure regeneration.
 
-A second benchmark measures *intra-pair* scaling: one (method, network)
-tuning with a large budget, evaluated candidate-batch-parallel
-(``search_workers``) versus serial, with bit-identical results required.
+``test_search_throughput_analytic`` measures the candidate-evaluation path:
+GA sweeps through batched evaluation (analytic pre-pass, then a simulation
+per survivor) must reproduce a one-at-a-time ``evaluate`` sweep bit for bit,
+and the vectorized pre-pass must beat per-candidate simulation >=10x.
 
-A third axis is lock contention: ``test_service_lock_concurrency`` drives
+A further axis is lock contention: ``test_service_lock_concurrency`` drives
 concurrent client threads against one :class:`~repro.service.StoreService`
 over distinct keys and gates the striped per-key locking's throughput
 against the old single-global-lock behaviour (``stripes=1``).
@@ -22,8 +23,8 @@ must stay within 5% wall time with bit-identical results.
 Scale knobs: ``MAS_BENCH_BUDGET`` (search budget), ``MAS_BENCH_NETWORKS``
 (network subset; defaults to three Table-1 networks here so the four sweeps
 stay quick), ``MAS_BENCH_JOBS`` (worker processes for the parallel sweep),
-``MAS_BENCH_SEARCH_WORKERS`` and ``MAS_BENCH_INTRA_BUDGET`` (intra-pair
-scaling benchmark), ``MAS_BENCH_LOCK_THREADS`` (lock-contention clients).
+``MAS_BENCH_SEARCH_BUDGET`` (search-throughput GA budget),
+``MAS_BENCH_LOCK_THREADS`` (lock-contention clients).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.export import read_trace
 from repro.obs.schema import validate_trace_file
 from repro.schedulers.registry import ALL_SCHEDULERS, make_scheduler
+from repro.search import autotuner
 from repro.search.autotuner import AutoTuner, TuningResult
 from repro.search.objective import SchedulerObjective
 from repro.service import StoreService, running_server, server_url
@@ -57,11 +59,6 @@ _networks = [n.strip() for n in _networks_env.split(",") if n.strip()]
 BENCH_NETWORKS = _networks or ["BERT-Base & T5-Base", "ViT-B/16", "XLM"]
 _jobs = env.int_value("MAS_BENCH_JOBS")
 PARALLEL_JOBS = _jobs if _jobs > 1 else min(4, os.cpu_count() or 1)
-#: Unset/0 picks an automatic worker count; an explicit 1 pins the
-#: "parallel" run serial (useful for isolating pool overhead).
-_search_workers = env.int_value("MAS_BENCH_SEARCH_WORKERS", 0)
-SEARCH_WORKERS = _search_workers if _search_workers >= 1 else min(4, os.cpu_count() or 1)
-INTRA_BUDGET = env.int_value("MAS_BENCH_INTRA_BUDGET")
 SEARCH_THROUGHPUT_BUDGET = env.int_value("MAS_BENCH_SEARCH_BUDGET")
 LOCK_THREADS = env.int_value("MAS_BENCH_LOCK_THREADS")
 #: The dataflows whose tiling space the tuner actually searches.
@@ -107,14 +104,14 @@ def _timed_matrix(runner: ExperimentRunner) -> tuple[float, dict]:
 
 
 def test_parallel_runner_and_result_cache(benchmark, tmp_path_factory):
-    cache_dir = tmp_path_factory.mktemp("tuning-cache")
+    cache_uri = f"dir:{tmp_path_factory.mktemp('tuning-cache')}"
     kwargs = dict(search_budget=SEARCH_BUDGET, seed=0)
 
     t_serial, serial = _timed_matrix(ExperimentRunner(**kwargs))
     t_parallel, parallel = _timed_matrix(ParallelRunner(**kwargs, jobs=PARALLEL_JOBS))
-    t_cold, cold = _timed_matrix(ExperimentRunner(**kwargs, cache_dir=cache_dir))
+    t_cold, cold = _timed_matrix(ExperimentRunner(**kwargs, cache_uri=cache_uri))
 
-    warm_runner = ParallelRunner(**kwargs, cache_dir=cache_dir, jobs=PARALLEL_JOBS)
+    warm_runner = ParallelRunner(**kwargs, cache_uri=cache_uri, jobs=PARALLEL_JOBS)
     t_warm, warm = _timed_matrix(warm_runner)
     warm_stats = warm_runner.cache_stats()
 
@@ -127,7 +124,7 @@ def test_parallel_runner_and_result_cache(benchmark, tmp_path_factory):
 
     # Benchmark the steady state: a fresh process hitting a warm cache.
     result = benchmark.pedantic(
-        lambda: ExperimentRunner(**kwargs, cache_dir=cache_dir).run_matrix(BENCH_NETWORKS),
+        lambda: ExperimentRunner(**kwargs, cache_uri=cache_uri).run_matrix(BENCH_NETWORKS),
         rounds=1,
         iterations=1,
     )
@@ -254,7 +251,7 @@ def test_result_store_backends(benchmark, tmp_path_factory):
     root = tmp_path_factory.mktemp("store-bench")
     kwargs = dict(search_budget=SEARCH_BUDGET, seed=0)
 
-    t_cold, cold = _timed_matrix(ExperimentRunner(**kwargs, cache_dir=root / "jsondir"))
+    t_cold, cold = _timed_matrix(ExperimentRunner(**kwargs, cache_uri=f"dir:{root / 'jsondir'}"))
     reference = _fingerprint(cold)
 
     report = migrate_store(
@@ -305,73 +302,24 @@ def test_result_store_backends(benchmark, tmp_path_factory):
     benchmark.extra_info["migrated_entries"] = report.migrated
 
 
-def _history_rows(result: TuningResult) -> list[tuple]:
-    return [
-        (rec.iteration, rec.tiling, rec.value, rec.best_value, rec.phase)
-        for rec in result.history.records
-    ]
+class _OneAtATimeObjective(SchedulerObjective):
+    """The reference sweep's objective: a batch is a plain loop over
+    :meth:`evaluate` — no analytic pre-pass, every candidate simulated."""
+
+    def evaluate_batch(self, tilings):
+        return [self.evaluate(tiling) for tiling in tilings]
 
 
-def test_intra_pair_search_scaling(benchmark):
-    """One pair, large budget: batched parallel candidate evaluation vs serial.
+def _ga_sweep(monkeypatch, objective_cls=SchedulerObjective, prune: bool = False) -> dict:
+    """One GA tuning sweep over (method, network) pairs.
 
-    GA generations and MCTS rollout batches fan out over a process pool of
-    ``SEARCH_WORKERS`` evaluators; the tuning result (best tiling, every
-    history record) must be bit-identical to the serial run.
+    The tuner evaluates through ``objective_cls``, with bound pruning on or
+    off; both are restored afterwards so the sweep modes cannot leak into
+    each other (or other benchmarks).
     """
-    hardware = simulated_edge_device()
-    workload = get_network(BENCH_NETWORKS[0]).workload()
-
-    def tune(workers: int) -> tuple[float, TuningResult]:
-        tuner = AutoTuner(
-            hardware,
-            strategy="mcts+ga",
-            budget=INTRA_BUDGET,
-            seed=0,
-            workers=workers,
-            parallel_backend="process",
-            rollout_batch=8,
-        )
-        start = time.perf_counter()
-        result = tuner.tune("mas", workload)
-        return time.perf_counter() - start, result
-
-    t_serial, serial = tune(1)
-    t_parallel, parallel = tune(SEARCH_WORKERS)
-    assert parallel.best_tiling == serial.best_tiling
-    assert parallel.best_value == serial.best_value
-    assert _history_rows(parallel) == _history_rows(serial)
-    assert parallel.objective_evaluations == serial.objective_evaluations
-
-    result = benchmark.pedantic(lambda: tune(SEARCH_WORKERS)[1], rounds=1, iterations=1)
-    assert result.best_value == serial.best_value
-
-    print()
-    print(f"pair: mas / {workload.name}, budget {INTRA_BUDGET}, rollout_batch 8")
-    print(f"serial search (workers=1)        : {t_serial:8.2f} s")
-    print(
-        f"parallel search (workers={SEARCH_WORKERS})      : {t_parallel:8.2f} s  "
-        f"({t_serial / max(t_parallel, 1e-9):.1f}x vs serial)"
-    )
-    benchmark.extra_info["intra_serial_s"] = round(t_serial, 3)
-    benchmark.extra_info["intra_parallel_s"] = round(t_parallel, 3)
-    benchmark.extra_info["search_workers"] = SEARCH_WORKERS
-    benchmark.extra_info["intra_speedup"] = round(t_serial / max(t_parallel, 1e-9), 2)
-    benchmark.extra_info["objective_evaluations"] = serial.objective_evaluations
-
-
-def _ga_sweep(env_overrides: dict[str, str]) -> dict:
-    """One GA tuning sweep over (method, network) pairs under ``env_overrides``.
-
-    ``MAS_ANALYTIC`` / ``MAS_ANALYTIC_PRUNE`` are restored afterwards so the
-    three sweep modes cannot leak into each other (or other benchmarks).
-    """
-    knobs = ("MAS_ANALYTIC", "MAS_ANALYTIC_PRUNE")
-    saved = {name: os.environ.get(name) for name in knobs}
-    for name in knobs:
-        os.environ.pop(name, None)
-    os.environ.update(env_overrides)
-    try:
+    with monkeypatch.context() as patch:
+        patch.setenv("MAS_ANALYTIC_PRUNE", "1" if prune else "0")
+        patch.setattr(autotuner, "SchedulerObjective", objective_cls)
         tuner = AutoTuner(
             simulated_edge_device(), strategy="ga", budget=SEARCH_THROUGHPUT_BUDGET, seed=0
         )
@@ -382,12 +330,6 @@ def _ga_sweep(env_overrides: dict[str, str]) -> dict:
             for method in SEARCH_METHODS
         }
         elapsed = time.perf_counter() - start
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
     stats = {"num_simulated": 0, "num_infeasible": 0, "num_pruned": 0}
     candidates = 0
     for result in results.values():
@@ -414,26 +356,26 @@ def _distinct_tilings(result: TuningResult) -> list:
     return list(seen.values())
 
 
-def test_search_throughput_analytic(benchmark):
+def test_search_throughput_analytic(benchmark, monkeypatch):
     """Candidates/sec through the candidate-evaluation hot path, analytic vs serial.
 
     Three full GA sweeps over every searchable (method, network) pair gate the
-    end-to-end behaviour: the analytic pre-pass (default) must reproduce the
-    legacy simulate-everything sweep's best tiling per pair bit-identically,
-    and the opt-in bound-pruned sweep must only skip simulations, never lose a
-    winner.  The >=10x claim is then measured on the hot path itself: the same
+    end-to-end behaviour: batched evaluation (analytic pre-pass) must reproduce
+    the one-at-a-time simulate-everything sweep's best tiling per pair
+    bit-identically, and the opt-in bound-pruned sweep must only skip
+    simulations, never lose a winner.  The >=10x claim is then measured on the hot path itself: the same
     distinct candidates each sweep evaluated are pushed through the serial
     path (``evaluate_uncached``: graph build + simulation per candidate) and
     through the vectorized ``analytic_bounds`` batch pass, and the two
     candidates/sec rates are compared.  Everything lands in
     ``BENCH_search.json`` so future PRs have a trajectory to regress against.
     """
-    legacy = _ga_sweep({"MAS_ANALYTIC": "0"})
-    analytic = _ga_sweep({"MAS_ANALYTIC": "1", "MAS_ANALYTIC_PRUNE": "0"})
-    pruned = _ga_sweep({"MAS_ANALYTIC_PRUNE": "1"})
+    legacy = _ga_sweep(monkeypatch, _OneAtATimeObjective)
+    analytic = _ga_sweep(monkeypatch)
+    pruned = _ga_sweep(monkeypatch, prune=True)
 
     # Bit-identity: the pre-pass only short-circuits infeasibles, so the best
-    # tiling (and its value) per pair must match the pre-refactor serial path.
+    # tiling (and its value) per pair must match the one-at-a-time path.
     for pair, reference in legacy["results"].items():
         got = analytic["results"][pair]
         assert got.best_tiling == reference.best_tiling, pair
@@ -458,9 +400,7 @@ def test_search_throughput_analytic(benchmark):
 
     t_serial = 0.0
     for method, workload, tilings in pairs:
-        objective = SchedulerObjective(
-            make_scheduler(method, simulated_edge_device()), workload, analytic=False
-        )
+        objective = SchedulerObjective(make_scheduler(method, simulated_edge_device()), workload)
         start = time.perf_counter()
         for tiling in tilings:
             objective.evaluate_uncached(tiling)

@@ -35,19 +35,11 @@ NETWORKS = [n.strip() for n in _networks_env.split(",") if n.strip()] or None
 
 #: Worker processes for the tuning+simulation matrix (1 = serial) and the
 #: persistent tuning-result cache shared across benchmark sessions.  With
-#: ``MAS_BENCH_CACHE_DIR`` (a directory) or ``MAS_BENCH_CACHE_URI`` (a result
-#: -store URI such as ``sqlite:///bench.db``; wins over the directory) set, a
-#: second run of the suite skips every search.
+#: ``MAS_BENCH_CACHE_URI`` set (a result-store URI such as
+#: ``sqlite:///bench.db`` or ``dir:/path``), a second run of the suite skips
+#: every search.
 JOBS = env.int_value("MAS_BENCH_JOBS")
-CACHE_DIR = env.value("MAS_BENCH_CACHE_DIR")
 CACHE_URI = env.value("MAS_BENCH_CACHE_URI")
-
-#: Candidate-evaluation workers inside each pair's tiling search.  Defaults
-#: to the runner default (which itself honours ``MAS_SEARCH_WORKERS``);
-#: override per benchmark session with ``MAS_BENCH_SEARCH_WORKERS=4``.
-#: Results are bit-identical at any worker count.
-_search_workers = env.value("MAS_BENCH_SEARCH_WORKERS")
-SEARCH_WORKERS = int(_search_workers) if _search_workers else None
 
 #: Workload suite swept by the table/figure benchmarks (``None`` = Table 1).
 #: Inline specs work: ``MAS_BENCH_SUITE="table1@batch=8"`` reruns every
@@ -64,9 +56,7 @@ def edge_runner() -> ExperimentRunner:
         search_budget=SEARCH_BUDGET,
         seed=0,
         jobs=JOBS,
-        cache_dir=CACHE_DIR,
         cache_uri=CACHE_URI,
-        search_workers=SEARCH_WORKERS,
         suite=SUITE,
     )
 
@@ -80,9 +70,7 @@ def npu_runner() -> ExperimentRunner:
         search_budget=SEARCH_BUDGET,
         seed=0,
         jobs=JOBS,
-        cache_dir=CACHE_DIR,
         cache_uri=CACHE_URI,
-        search_workers=SEARCH_WORKERS,
         suite=SUITE,
     )
 

@@ -84,7 +84,7 @@ def main() -> None:
     print("\nFor full Table-2/3 sweeps, use the parallel runner with a result store:")
     print("    from repro.exec import ParallelRunner")
     print("    from repro.analysis import run_table2")
-    print("    runner = ParallelRunner(jobs=8, cache_dir='~/.cache/mas-attention')")
+    print("    runner = ParallelRunner(jobs=8, cache_uri='dir:~/.cache/mas-attention')")
     print("    print(run_table2(runner).format())   # warm re-runs do zero searches")
     print("    # shared SQLite store (safe across concurrent workers/hosts):")
     print("    runner = ParallelRunner(jobs=8, cache_uri='sqlite:///fleet.db')")

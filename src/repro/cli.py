@@ -9,7 +9,7 @@ Examples
    $ mas-attention suites cross-attention   # one suite's entries
    $ mas-attention compare BERT-Base        # untuned comparison of all methods
    $ mas-attention table2 --budget 60       # Table 2 (cycles + speedups)
-   $ mas-attention table2 --jobs 4 --search-workers 4 --stream   # parallel + live progress
+   $ mas-attention table2 --jobs 4 --stream                 # parallel + live progress
    $ mas-attention table2 --suite table1-batched                 # batch 4/8/16 sweep
    $ mas-attention table2 --suite table1 --batch 8               # = table1@batch=8
    $ mas-attention table3 --suite 'long-context@seq<=8192'       # inline suite spec
@@ -148,11 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes for the (method, network) matrix (1 = serial)",
         )
         p.add_argument(
-            "--cache-dir",
-            default=None,
-            help="persistent tuning-result cache directory",
-        )
-        p.add_argument(
             "--cache",
             dest="cache_uri",
             default=None,
@@ -160,26 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
             "http://host:8787 (a running 'mas-attention serve') or "
             "shard:http://a:8787,http://b:8787 (a service fleet, "
             "?replicas=N), optionally with ?max_entries=N&max_bytes=SIZE"
-            "&ttl=AGE eviction caps (precedence: --cache, then --cache-dir, "
-            "then $MAS_CACHE_URI, then $MAS_CACHE_DIR)",
+            "&ttl=AGE eviction caps (default: $MAS_CACHE_URI)",
         )
         p.add_argument(
             "--no-cache",
             action="store_true",
             help="disable the persistent tuning-result cache",
-        )
-        p.add_argument(
-            "--search-workers",
-            type=int,
-            default=None,
-            help="candidate-evaluation workers inside each pair's tiling search "
-            "(default: $MAS_SEARCH_WORKERS or 1; results are identical at any count)",
-        )
-        p.add_argument(
-            "--search-backend",
-            choices=["thread", "process"],
-            default=None,
-            help="evaluation pool backend (default: $MAS_SEARCH_BACKEND or thread)",
         )
         p.add_argument(
             "--stream",
@@ -249,9 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument(
             "--cache",
             dest="cache_uri",
-            default=_env_cache_target(),
-            help="result-store URI or directory "
-            "(default: $MAS_CACHE_URI, then $MAS_CACHE_DIR)",
+            default=env.value("MAS_CACHE_URI"),
+            help="result-store URI or directory (default: $MAS_CACHE_URI)",
         )
 
     cp = cache_sub.add_parser("stats", help="entry count, size and stale entries")
@@ -301,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "store",
         nargs="?",
         default=None,
-        help="store URI or directory to front "
-        "(default: $MAS_CACHE_URI, then $MAS_CACHE_DIR)",
+        help="store URI or directory to front (default: $MAS_CACHE_URI)",
     )
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument(
@@ -435,16 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_cache_target() -> str | None:
-    """The environment-supplied store target (URI first, legacy dir second).
-
-    One resolution rule for every command: explicit flags always win, then
-    ``$MAS_CACHE_URI``, then ``$MAS_CACHE_DIR`` — so a sweep and a ``cache``
-    subcommand run in the same shell always talk to the same store.
-    """
-    return env.value("MAS_CACHE_URI") or env.value("MAS_CACHE_DIR")
-
-
 def _suite_spec(args: argparse.Namespace) -> str:
     """The suite spec the runner should sweep (``--suite`` plus ``--batch``)."""
     spec = args.suite or "table1"
@@ -454,19 +423,13 @@ def _suite_spec(args: argparse.Namespace) -> str:
 
 
 def _make_runner(args: argparse.Namespace) -> ParallelRunner:
-    cache_uri = args.cache_uri
-    if cache_uri is None and args.cache_dir is None:
-        cache_uri = _env_cache_target()
     return ParallelRunner(
         hardware=get_preset(args.hardware),
         search_budget=args.budget,
         use_search=not args.no_search,
-        cache_dir=args.cache_dir,
-        cache_uri=cache_uri,
+        cache_uri=args.cache_uri,
         use_cache=not args.no_cache,
         jobs=args.jobs,
-        search_workers=args.search_workers,
-        search_backend=args.search_backend,
         suite=_suite_spec(args),
         verbose=args.verbose,
     )
@@ -494,7 +457,7 @@ def _open_cache_store(target: str | None):
     if store is None:  # unset, empty or whitespace-only target
         raise SystemExit(
             "no result store selected: pass --cache URI "
-            "(or set $MAS_CACHE_URI / $MAS_CACHE_DIR)"
+            "(or set $MAS_CACHE_URI)"
         )
     return store
 
@@ -745,7 +708,7 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     """The ``mas-attention serve`` command: front a local store over HTTP."""
     from repro.service import serve_store
 
-    store = _open_cache_store(args.store or _env_cache_target())
+    store = _open_cache_store(args.store or env.value("MAS_CACHE_URI"))
     if isinstance(store, (HttpStore, ShardedStore)):
         raise SystemExit(
             f"refusing to front {store.uri()}: serve needs the *local* backend "
@@ -795,7 +758,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "suites":
         if args.spec:
-            suite = get_suite(args.spec)
+            try:
+                suite = get_suite(args.spec)
+            except (KeyError, ValueError) as exc:
+                parser.exit(2, f"{parser.prog}: error: {exc.args[0]}\n")
             print(
                 format_table(
                     ["Entry", "B", "#Heads", "SeqQ", "SeqKV", "Emb"],

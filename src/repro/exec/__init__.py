@@ -13,7 +13,7 @@ the analysis harnesses do with the results:
 * :mod:`repro.exec.runner` — the serial :class:`ExperimentRunner` and the
   process-pool :class:`ParallelRunner` that produce identical results, both
   with a streaming ``iter_matrix`` API (completed runs yielded as they
-  finish) and intra-pair ``search_workers`` fan-out of candidate evaluation.
+  finish).
 
 Runners sweep a :class:`~repro.workloads.suites.WorkloadSuite` (``suite=``;
 Table 1 by default), so every harness can run batched, cross-attention or

@@ -113,11 +113,6 @@ class PairSpec:
     use_cache: bool = True
     #: Suite name recorded in stored entry metadata (never part of the key).
     suite: str | None = None
-    #: Intra-search evaluation workers and pool backend.  Deliberately *not*
-    #: part of the tuning cache key: batched evaluation is bit-identical to
-    #: serial, so a result tuned at any worker count serves them all.
-    search_workers: int | None = None
-    search_backend: str | None = None
     #: The entry's attention workload.  ``None`` resolves ``network`` against
     #: the Table-1 registry (the historical behaviour, and still what bare
     #: network names mean outside any suite).
@@ -192,8 +187,6 @@ def _execute_pair_traced(spec: PairSpec) -> MethodRun:
                     budget=spec.budget,
                     metric=spec.metric,
                     seed=seed,
-                    workers=spec.search_workers,
-                    parallel_backend=spec.search_backend,
                 )
                 tuning = tuner.tune(scheduler, workload)
                 cache.store(key, tuning, suite=spec.suite)

@@ -6,8 +6,8 @@ method tuned per network and then simulated with its best tiling — so the
 the individual harnesses only reshape the results into their table/figure
 form.  On top of that this module adds:
 
-* a persistent result store (``cache_dir`` / ``cache_uri`` /
-  ``$MAS_CACHE_URI``; JSON directory or shared SQLite, see
+* a persistent result store (``cache_uri`` / ``$MAS_CACHE_URI``; JSON
+  directory, shared SQLite or a store service, see
   :mod:`repro.store`) so repeated sweeps across process starts skip the
   tiling search entirely;
 * :class:`ParallelRunner`, a drop-in subclass that fans the matrix out over a
@@ -16,10 +16,11 @@ form.  On top of that this module adds:
   results are bit-identical to serial ones;
 * a streaming sweep API — ``iter_matrix`` yields each completed
   :class:`MethodRun` as it finishes (``as_completed`` order, or Table-1 order
-  with ``stream=False``) so harnesses can render incrementally;
-* intra-pair parallelism — ``search_workers`` fans the candidate evaluations
-  *inside* each pair's tiling search over a thread/process pool (see
-  :mod:`repro.search.parallel`), again without changing any result.
+  with ``stream=False``) so harnesses can render incrementally.
+
+Parallelism is across pairs only: each pair's tiling search evaluates its
+candidates serially (an intra-pair evaluator pool was measured not to pay
+once ``jobs`` already keeps every core busy).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import http.client
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator
 
 from repro.exec.pairs import MethodRun, PairSpec, execute_pair
@@ -37,7 +37,6 @@ from repro.hardware.config import HardwareConfig
 from repro.hardware.presets import simulated_edge_device
 from repro.schedulers.registry import get_scheduler, list_schedulers
 from repro.search.objective import Metric
-from repro.search.parallel import resolve_backend, resolve_workers
 from repro.store import (
     HttpStore,
     MAS_CACHE_URI_ENV,
@@ -87,29 +86,21 @@ class ExperimentRunner:
         from it, independent of execution order.
     metric:
         Tuning objective (``"cycles"``, ``"energy"`` or ``"edp"``).
-    cache_dir:
-        Directory of the persistent tuning-result cache (the JSON-file
-        backend); ``None`` defers to ``cache_uri``.
     cache_uri:
         Result-store URI — ``dir:/path``, ``sqlite:///path.db`` or
         ``http://host:8787`` (a running ``mas-attention serve``), optionally
         with ``?max_entries=``/``?max_bytes=`` eviction caps (see
-        :mod:`repro.store.uri`).  Takes precedence over ``cache_dir``; when
-        neither is given, ``$MAS_CACHE_URI`` supplies the default, and with
-        that unset too results stay in-memory only.  Every worker process
-        carries its own store counters back to the parent through
+        :mod:`repro.store.uri`).  ``None`` defers to ``$MAS_CACHE_URI``,
+        and with that unset too results stay in-memory only.  Every worker
+        process carries its own store counters back to the parent through
         :attr:`MethodRun.store_stats`, HTTP-backed sweeps included, so
         :meth:`cache_stats` accounting is backend-independent.
     use_cache:
         Off switch for the persistent cache even when a target is set.
     search_workers:
-        Candidate-evaluation workers *within* each pair's tiling search;
-        ``None`` defers to ``$MAS_SEARCH_WORKERS`` (default 1).  Tuning
-        results are bit-identical for every worker count, so this composes
-        freely with the persistent cache and with ``ParallelRunner.jobs``.
-    search_backend:
-        Evaluation pool backend (``"thread"``/``"process"``); ``None`` defers
-        to ``$MAS_SEARCH_BACKEND`` (default ``"thread"``).
+        Must be 1: each pair's search evaluates its candidates serially.
+        Kept only so existing callers that pass ``search_workers=1`` still
+        work; run pairs in parallel with ``ParallelRunner.jobs``.
     suite:
         The workload suite swept by this runner: a
         :class:`~repro.workloads.suites.WorkloadSuite`, a suite-spec string
@@ -128,23 +119,21 @@ class ExperimentRunner:
     use_search: bool = True
     seed: int = 0
     metric: Metric = "cycles"
-    cache_dir: str | Path | None = None
     cache_uri: str | None = None
     use_cache: bool = True
-    search_workers: int | None = None
-    search_backend: str | None = None
+    search_workers: int = 1
     suite: str | WorkloadSuite | None = None
     verbose: bool = False
     _runs: dict[tuple[str, str], MethodRun] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         check_positive_int(self.search_budget, "search_budget")
-        # Fail fast on bad worker/backend settings (explicit or from the
-        # environment) instead of erroring later inside pool workers — and on
-        # a malformed suite spec before any pair executes.
-        resolve_workers(self.search_workers)
-        resolve_backend(self.search_backend)
-        # ... and on a malformed store URI (explicit or $MAS_CACHE_URI):
+        if self.search_workers != 1:
+            raise ValueError(
+                f"search_workers must be 1, got {self.search_workers!r}; "
+                "run pairs in parallel with ParallelRunner.jobs"
+            )
+        # Fail fast on a malformed store URI (explicit or $MAS_CACHE_URI):
         # opening a store is lazy/cheap and raises on bad schemes or policies.
         # An HTTP store is additionally pinged, so an unreachable/mistyped
         # service address fails the run here with one clear error instead of
@@ -216,14 +205,11 @@ class ExperimentRunner:
     def cache_target(self) -> str | None:
         """The resolved persistent-store target of this runner.
 
-        Precedence: explicit ``cache_uri``, then ``cache_dir`` (a plain
-        directory, the historical JSON-file format), then the
-        ``$MAS_CACHE_URI`` environment default.
+        Precedence: explicit ``cache_uri``, then the ``$MAS_CACHE_URI``
+        environment default.
         """
         if self.cache_uri is not None:
             return self.cache_uri
-        if self.cache_dir is not None:
-            return str(self.cache_dir)
         return env.value(MAS_CACHE_URI_ENV)
 
     # ------------------------------------------------------------------ #
@@ -271,8 +257,6 @@ class ExperimentRunner:
             cache_uri=self.cache_target,
             use_cache=self.use_cache,
             suite=self.suite_name,
-            search_workers=self.search_workers,
-            search_backend=self.search_backend,
             workload=entry.workload,
             # Ambient sweep span (if tracing is on), so pair spans parent
             # onto the sweep even from pool-worker processes.

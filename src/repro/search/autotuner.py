@@ -103,18 +103,10 @@ class AutoTuner:
         Objective metric (``"cycles"``, ``"energy"`` or ``"edp"``).
     seed:
         Seed for the stochastic searchers.
-    workers:
-        Candidate-evaluation workers *within* the search (GA generations and
-        MCTS rollout batches fan out over them); ``None`` resolves to
-        ``$MAS_SEARCH_WORKERS`` (default 1).  Results are bit-identical for
-        every worker count.
-    parallel_backend:
-        Evaluation pool backend, ``"thread"`` or ``"process"``; ``None``
-        resolves to ``$MAS_SEARCH_BACKEND`` (default ``"thread"``).
     rollout_batch:
-        Leaf rollouts per MCTS iteration (see :class:`MCTSSearch`).  Unlike
-        ``workers`` this changes the search trajectory, so it defaults to the
-        classic 1 rollout per iteration.
+        Leaf rollouts per MCTS iteration (see :class:`MCTSSearch`).  This
+        changes the search trajectory, so it defaults to the classic 1
+        rollout per iteration.
     """
 
     def __init__(
@@ -125,8 +117,6 @@ class AutoTuner:
         metric: Metric = "cycles",
         seed: int = 0,
         mcts_fraction: float = 0.6,
-        workers: int | None = None,
-        parallel_backend: str | None = None,
         rollout_batch: int = 1,
     ) -> None:
         if strategy is None:
@@ -141,8 +131,6 @@ class AutoTuner:
         self.metric = metric
         self.seed = seed
         self.mcts_fraction = mcts_fraction
-        self.workers = workers
-        self.parallel_backend = parallel_backend
         self.rollout_batch = rollout_batch
         self._cache: dict[tuple[str, str], TuningResult] = {}
 
@@ -170,24 +158,15 @@ class AutoTuner:
         if cached is not None and self._satisfies(cached, budget):
             return cached
 
-        objective = SchedulerObjective(
-            scheduler,
-            workload,
-            metric=self.metric,
-            workers=self.workers,
-            backend=self.parallel_backend,
-        )
+        objective = SchedulerObjective(scheduler, workload, metric=self.metric)
         space = TilingSearchSpace(workload, self.hardware)
-        try:
-            history = self._search(objective, space, budget)
+        history = self._search(objective, space, budget)
 
-            # Always consider the scheduler's heuristic default as a candidate:
-            # the search should never return something worse than the untuned
-            # tiling (and if nothing feasible was explored, it is the fallback).
-            default_eval = objective.evaluate(scheduler.default_tiling(workload))
-            history.record(default_eval, phase="default")
-        finally:
-            objective.close()
+        # Always consider the scheduler's heuristic default as a candidate:
+        # the search should never return something worse than the untuned
+        # tiling (and if nothing feasible was explored, it is the fallback).
+        default_eval = objective.evaluate(scheduler.default_tiling(workload))
+        history.record(default_eval, phase="default")
 
         assert history.best is not None
         result = TuningResult(
@@ -262,10 +241,7 @@ def tune_scheduler(
     budget: int = 200,
     metric: Metric = "cycles",
     seed: int = 0,
-    workers: int | None = None,
 ) -> TuningResult:
     """One-shot convenience wrapper around :class:`AutoTuner`."""
-    tuner = AutoTuner(
-        hardware, strategy=strategy, budget=budget, metric=metric, seed=seed, workers=workers
-    )
+    tuner = AutoTuner(hardware, strategy=strategy, budget=budget, metric=metric, seed=seed)
     return tuner.tune(scheduler_name, workload)

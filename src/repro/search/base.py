@@ -68,10 +68,9 @@ class SearchAlgorithm(ABC):
     ) -> list[TilingEvaluation]:
         """Evaluate one candidate batch and record every result.
 
-        The batch may fan out over the objective's worker pool, but results
-        are recorded in *input* order, so the history (and therefore the best
-        tiling and the Figure-7 curve) is independent of worker count and
-        completion order — bit-identical to evaluating serially.
+        Results are recorded in *input* order, so the history (and therefore
+        the best tiling and the Figure-7 curve) is bit-identical to
+        evaluating the candidates one at a time.
         """
         evaluations = objective.evaluate_batch(tilings)
         for evaluation in evaluations:

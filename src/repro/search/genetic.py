@@ -29,9 +29,9 @@ class GeneticSearch(SearchAlgorithm):
     """Tournament-selection GA with uniform crossover and point mutation.
 
     Each generation (and the initial population) is evaluated as one batch
-    through :meth:`SchedulerObjective.evaluate_batch`, so candidate
-    evaluations fan out over the objective's worker pool while the search
-    trajectory stays bit-identical to serial evaluation.  Evaluation budgets
+    through :meth:`SchedulerObjective.evaluate_batch`, so the analytic
+    pre-pass screens the whole generation while the search trajectory stays
+    bit-identical to one-at-a-time evaluation.  Evaluation budgets
     smaller than a full generation truncate the batch — never overshoot —
     and the unevaluated remainder is dropped from selection entirely.
     """

@@ -26,8 +26,8 @@ class GridSearch(SearchAlgorithm):
     """Deterministic exhaustive enumeration of the candidate grid.
 
     The enumeration order is fixed, so the budget's worth of grid points is
-    evaluated as one batch: parallel-friendly, with a history identical to
-    the one-at-a-time loop.
+    evaluated as one batch, with a history identical to the one-at-a-time
+    loop.
     """
 
     name = "grid"

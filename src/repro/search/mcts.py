@@ -75,11 +75,9 @@ class MCTSSearch(SearchAlgorithm):
 
     ``rollout_batch`` leaf rollouts run per iteration: the selection/expansion
     phases produce a batch of complete tilings first, the batch is evaluated
-    in one :meth:`SchedulerObjective.evaluate_batch` call (fanned over the
-    objective's worker pool when it has one), and rewards are backpropagated
-    in rollout order.  ``rollout_batch=1`` (the default) is exactly the
-    classic serial loop; for any fixed ``rollout_batch`` the search is
-    bit-identical whatever the evaluation worker count.
+    in one :meth:`SchedulerObjective.evaluate_batch` call, and rewards are
+    backpropagated in rollout order.  ``rollout_batch=1`` (the default) is
+    exactly the classic serial loop.
     """
 
     name = "mcts"

@@ -7,31 +7,36 @@ whose on-chip footprint cannot run at all (even the non-evictable residency
 exceeds L1) are reported as infeasible and receive an infinite objective so
 the searchers steer away from them.
 
-Batch evaluation runs a **vectorized analytic pre-pass** first
-(:meth:`~repro.schedulers.base.AttentionScheduler.analytic_bounds`,
-``$MAS_ANALYTIC``): the whole batch's feasibility masks come from a few numpy
-expressions, so infeasible candidates are marked without ever building a task
-graph, and — when ``$MAS_ANALYTIC_PRUNE`` is enabled — candidates whose
-provable lower bound on the objective already loses to the incumbent skip
-their simulation entirely.  The pre-pass replicates the serial feasibility
-rules exactly, so with pruning disabled (the default) the memo table, the
-evaluation counts and every returned value are bit-identical to the serial
-path.
+Batch evaluation (:meth:`SchedulerObjective.evaluate_batch`) runs a
+**vectorized analytic pre-pass** first
+(:meth:`~repro.schedulers.base.AttentionScheduler.analytic_bounds`): the whole
+batch's feasibility masks come from a few numpy expressions, so infeasible
+candidates are marked without ever building a task graph, and the survivors
+are simulated one after another.  When ``$MAS_ANALYTIC_PRUNE`` is enabled,
+candidates whose provable lower bound on the objective already loses to the
+incumbent skip their simulation entirely.  The pre-pass replicates the serial
+feasibility rules exactly, so with pruning disabled (the default) the memo
+table, the evaluation counts and every returned value are bit-identical to
+calling :meth:`SchedulerObjective.evaluate` on each candidate in turn.
+
+An evaluation keeps only the candidate's cycles, energy and objective value,
+never the :class:`~repro.sim.trace.SimulationResult` it came from: the task
+graph behind a result is large, and the runner re-simulates the winning
+tiling anyway (determinism makes that identical).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal, Sequence
 
 import numpy as np
-
-from typing import Literal, Sequence
 
 from repro.core.analytic import AnalyticBounds
 from repro.core.overwrite import InfeasibleTilingError
 from repro.core.tiling import TilingConfig
+from repro.obs import trace as obs_trace
 from repro.schedulers.base import AttentionScheduler
-from repro.search.parallel import ParallelEvaluator
 from repro.sim.trace import SimulationResult
 from repro.utils import env
 from repro.utils.validation import require
@@ -40,23 +45,17 @@ from repro.workloads.attention import AttentionWorkload
 __all__ = [
     "TilingEvaluation",
     "SchedulerObjective",
-    "analytic_enabled",
     "analytic_prune_enabled",
 ]
 
 Metric = Literal["cycles", "energy", "edp"]
 
 #: Candidates per pruning wave in :meth:`SchedulerObjective.evaluate_batch`.
-#: Within a wave candidates evaluate (possibly in parallel); between waves
-#: the incumbent is re-checked.  A *fixed* wave size keeps pruned sweeps
-#: bit-identical for every worker count while still letting early winners
-#: prune the rest of a large batch.
+#: A wave's candidates are simulated without re-checking the incumbent;
+#: between waves it is re-checked.  A *fixed* wave size keeps pruned sweeps
+#: deterministic while still letting early winners prune the rest of a large
+#: batch.
 PRUNE_WAVE = 8
-
-
-def analytic_enabled() -> bool:
-    """Whether batch evaluation runs the vectorized analytic pre-pass."""
-    return env.value("MAS_ANALYTIC") != "0"
 
 
 def analytic_prune_enabled() -> bool:
@@ -79,7 +78,6 @@ class TilingEvaluation:
     cycles: int
     energy_pj: float
     value: float
-    result: SimulationResult | None = None
     #: True when the candidate was never simulated because its analytic lower
     #: bound already lost to the incumbent.  ``value`` then holds that bound —
     #: a finite underestimate that keeps ranking signals for the stochastic
@@ -111,22 +109,10 @@ class SchedulerObjective:
         infeasible outright.  MAS-Attention sets this to true because the
         proactive overwrite strategy handles the overflow (at extra DRAM
         cost); the baselines keep the strict check.
-    workers:
-        Evaluation workers for :meth:`evaluate_batch`; ``None`` resolves to
-        ``$MAS_SEARCH_WORKERS`` (default 1, fully serial).  Results are
-        bit-identical for every worker count.
-    backend:
-        Pool backend, ``"thread"`` or ``"process"``; ``None`` resolves to
-        ``$MAS_SEARCH_BACKEND`` (default ``"thread"``).
-    analytic:
-        Run the vectorized analytic pre-pass in :meth:`evaluate_batch`;
-        ``None`` resolves to ``$MAS_ANALYTIC`` (default on).  With pruning
-        disabled the pre-pass only short-circuits infeasible candidates and
-        is bit-identical to the serial path.
     analytic_prune:
         Prune candidates whose analytic lower bound on the metric already
         loses to the incumbent; ``None`` resolves to ``$MAS_ANALYTIC_PRUNE``
-        (default off).  Implies the pre-pass.
+        (default off).
     """
 
     def __init__(
@@ -135,9 +121,6 @@ class SchedulerObjective:
         workload: AttentionWorkload,
         metric: Metric = "cycles",
         allow_overflow: bool | None = None,
-        workers: int | None = None,
-        backend: str | None = None,
-        analytic: bool | None = None,
         analytic_prune: bool | None = None,
     ) -> None:
         require(metric in ("cycles", "energy", "edp"), f"unknown metric {metric!r}")
@@ -147,11 +130,8 @@ class SchedulerObjective:
         if allow_overflow is None:
             allow_overflow = scheduler.name == "mas"
         self.allow_overflow = allow_overflow
-        if analytic is None:
-            analytic = analytic_enabled()
         if analytic_prune is None:
             analytic_prune = analytic_prune_enabled()
-        self.analytic = analytic or analytic_prune
         self.analytic_prune = analytic_prune
         self._cache: dict[tuple, TilingEvaluation] = {}
         #: Non-memoized evaluations performed, feasible or not: every distinct
@@ -161,9 +141,11 @@ class SchedulerObjective:
         #: Where those evaluations went: ``num_simulated`` full simulations,
         #: ``num_infeasible`` candidates rejected without simulating (footprint
         #: or hard-infeasibility), ``num_pruned`` candidates skipped because
-        #: their analytic lower bound lost to the incumbent.
+        #: their analytic lower bound lost to the incumbent.  ``"analytic"``
+        #: is always 1 (the pre-pass is unconditional); it stays so stored
+        #: tunings keep one payload layout.
         self.analytic_stats: dict[str, int] = {
-            "analytic": int(self.analytic),
+            "analytic": 1,
             "prune": int(self.analytic_prune),
             "num_simulated": 0,
             "num_infeasible": 0,
@@ -171,12 +153,6 @@ class SchedulerObjective:
         }
         #: Best feasible objective value seen so far — the pruning incumbent.
         self._incumbent = float("inf")
-        self._evaluator = ParallelEvaluator(self, workers=workers, backend=backend)
-
-    @property
-    def workers(self) -> int:
-        """Resolved evaluation worker count (1 = serial)."""
-        return self._evaluator.workers
 
     # ------------------------------------------------------------------ #
     def _key(self, tiling: TilingConfig) -> tuple:
@@ -192,41 +168,37 @@ class SchedulerObjective:
     def evaluate_uncached(self, tiling: TilingConfig) -> TilingEvaluation:
         """Evaluate one candidate directly: no memo lookup, no accounting.
 
-        Pure with respect to ``self`` — safe to call from pool workers.  The
-        memoizing callers (:meth:`evaluate`, :meth:`evaluate_batch`) own the
-        cache insert and the ``num_evaluations`` count.
+        Pure with respect to ``self``.  The memoizing callers
+        (:meth:`evaluate`, :meth:`evaluate_batch`) own the cache insert and
+        the ``num_evaluations`` count.
         """
         tiling = tiling.clamp_to(self.workload)
         if not self.allow_overflow and not self.scheduler.fits(self.workload, tiling):
-            return TilingEvaluation(
-                tiling=tiling, feasible=False, cycles=0, energy_pj=0.0, value=float("inf")
-            )
+            return self._infeasible(tiling)
         try:
             result = self.scheduler.simulate(self.workload, tiling)
         except InfeasibleTilingError:
-            return TilingEvaluation(
-                tiling=tiling, feasible=False, cycles=0, energy_pj=0.0, value=float("inf")
-            )
+            return self._infeasible(tiling)
         return TilingEvaluation(
             tiling=tiling,
             feasible=True,
             cycles=result.cycles,
             energy_pj=result.energy_pj,
             value=self._value(result),
-            result=result,
         )
 
     def _note(self, evaluation: TilingEvaluation) -> None:
         """Account for one fresh (non-memoized) evaluation outcome."""
-        if evaluation.result is not None:
+        if evaluation.feasible:
             self.analytic_stats["num_simulated"] += 1
         else:
             self.analytic_stats["num_infeasible"] += 1
         if evaluation.feasible and evaluation.value < self._incumbent:
             self._incumbent = evaluation.value
 
-    def _infeasible(self, tiling: TilingConfig) -> TilingEvaluation:
-        """The evaluation :meth:`evaluate_uncached` returns for a reject."""
+    @staticmethod
+    def _infeasible(tiling: TilingConfig) -> TilingEvaluation:
+        """The evaluation of a rejected (footprint or hard-infeasible) candidate."""
         return TilingEvaluation(
             tiling=tiling, feasible=False, cycles=0, energy_pj=0.0, value=float("inf")
         )
@@ -258,15 +230,14 @@ class SchedulerObjective:
         return evaluation
 
     def evaluate_batch(self, tilings: Sequence[TilingConfig]) -> list[TilingEvaluation]:
-        """Evaluate many candidates at once (memoized, optionally in parallel).
+        """Evaluate many candidates at once (memoized).
 
         Returns one evaluation per input, aligned with the input order.  Only
-        distinct not-yet-memoized tilings are (re-)evaluated — through the
-        analytic pre-pass when enabled, fanned over the evaluator's pool when
-        ``workers > 1`` — and merged into the memo table in first-occurrence
-        order, so the resulting cache state, evaluation count and returned
-        values are identical to calling :meth:`evaluate` on each tiling
-        serially (pruning disabled).
+        distinct not-yet-memoized tilings are evaluated — analytic pre-pass
+        first, then a simulation per survivor — and merged into the memo
+        table in first-occurrence order, so the resulting cache state,
+        evaluation count and returned values are identical to calling
+        :meth:`evaluate` on each tiling in turn (pruning disabled).
         """
         clamped = [tiling.clamp_to(self.workload) for tiling in tilings]
         pending: dict[tuple, TilingConfig] = {}
@@ -275,21 +246,26 @@ class SchedulerObjective:
             if key not in self._cache and key not in pending:
                 pending[key] = tiling
         if pending:
-            batch = list(pending.values())
-            if self.analytic:
-                fresh = self._evaluate_pending_analytic(batch)
-            else:
-                fresh = self._evaluator.evaluate(batch)
-                for evaluation in fresh:
-                    self._note(evaluation)
+            fresh = self._evaluate_pending(list(pending.values()))
             for key, evaluation in zip(pending, fresh):
                 self._cache[key] = evaluation
                 self.num_evaluations += 1
         return [self._cache[self._key(tiling)] for tiling in clamped]
 
-    def _evaluate_pending_analytic(
-        self, tilings: list[TilingConfig]
-    ) -> list[TilingEvaluation]:
+    def _simulate(self, tilings: list[TilingConfig]) -> list[TilingEvaluation]:
+        """Simulate ``tilings`` in order and account for each outcome.
+
+        Each call is one "search.generation" span (no-op unless tracing is
+        on): a GA generation, an MCTS rollout round, a grid slab, or one
+        pruning wave of them.
+        """
+        with obs_trace.span("search.generation", layer="search", batch=len(tilings)):
+            evaluations = [self.evaluate_uncached(tiling) for tiling in tilings]
+        for evaluation in evaluations:
+            self._note(evaluation)
+        return evaluations
+
+    def _evaluate_pending(self, tilings: list[TilingConfig]) -> list[TilingEvaluation]:
         """Analytic pre-pass + (pruned) simulation for deduplicated candidates.
 
         The feasibility mask replicates :meth:`evaluate_uncached` exactly —
@@ -311,20 +287,17 @@ class SchedulerObjective:
                 survivors.append(index)
 
         if not self.analytic_prune:
-            fresh = self._evaluator.evaluate([tilings[i] for i in survivors])
+            fresh = self._simulate([tilings[i] for i in survivors])
             for index, evaluation in zip(survivors, fresh):
                 results[index] = evaluation
-                self._note(evaluation)
             return results
 
         # Simulate survivors in ascending-bound order, in fixed-size waves:
         # candidates whose bound already loses to the incumbent are pruned as
         # each wave is formed, and every completed wave tightens the incumbent
-        # for the next one.  The wave size is a constant (not the worker
-        # count) and the order is fully deterministic, so pruned results are
-        # bit-identical for every worker count — the same invariance contract
-        # the rest of the search layer keeps — while early winners still
-        # prune the rest of a large batch.
+        # for the next one.  The wave size is a constant and the order is
+        # fully deterministic, so pruned results are reproducible while early
+        # winners still prune the rest of a large batch.
         value_bound = self._value_bound(bounds)
         order = sorted(survivors, key=lambda i: (float(value_bound[i]), i))
         for start in range(0, len(order), PRUNE_WAVE):
@@ -334,17 +307,12 @@ class SchedulerObjective:
                     results[index] = self._pruned(tilings[index], float(value_bound[index]))
                 else:
                     wave.append(index)
-            fresh = self._evaluator.evaluate([tilings[i] for i in wave])
+            fresh = self._simulate([tilings[i] for i in wave])
             for index, evaluation in zip(wave, fresh):
                 results[index] = evaluation
-                self._note(evaluation)
         return results
 
     __call__ = evaluate
-
-    def close(self) -> None:
-        """Release the evaluator's worker pool, if one was ever created."""
-        self._evaluator.close()
 
     @property
     def cache_size(self) -> int:

@@ -22,8 +22,8 @@ class RandomSearch(SearchAlgorithm):
 
     Sampling never depends on evaluation results, so the whole budget is
     drawn up front and evaluated as one batch — the history is identical to
-    the sample-evaluate-sample serial loop, but the evaluations can fan out
-    over the objective's worker pool.
+    the sample-evaluate-sample serial loop, and the analytic pre-pass sees
+    every candidate at once.
     """
 
     name = "random"

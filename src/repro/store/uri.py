@@ -5,8 +5,7 @@ Accepted forms (``--cache``, ``$MAS_CACHE_URI``, ``ResultCache(...)``):
 =====================================  ====================================
 URI                                    Meaning
 =====================================  ====================================
-``/path/to/dir`` (no scheme)           JSON-directory store (the historical
-                                       ``--cache-dir`` behaviour)
+``/path/to/dir`` (no scheme)           JSON-directory store
 ``dir:/path`` / ``dir:///path``        JSON-directory store, explicit
 ``jsondir:/path``                      alias of ``dir:``
 ``sqlite:///path/to/cache.db``         SQLite store (single file, WAL)

@@ -132,27 +132,10 @@ register(
     "shard fleets). Explicit `--cache` flags win.",
 )
 register(
-    "MAS_CACHE_DIR",
-    None,
-    "Legacy default cache *directory* (the PR-1 JSON-file format). Consulted "
-    "only when `MAS_CACHE_URI` is unset; `--cache`/`--cache-dir` flags win.",
-)
-register(
     "MAS_SUITES_FILE",
     None,
     "JSON/TOML file of user-registered workload suites, loaded lazily on "
     "every registry lookup. An explicit `--suites-file` flag replaces it.",
-)
-register(
-    "MAS_SEARCH_WORKERS",
-    "1",
-    "Candidate-evaluation workers inside each pair's tiling search "
-    "(1 = serial). Results are bit-identical at any worker count.",
-)
-register(
-    "MAS_SEARCH_BACKEND",
-    "thread",
-    "Evaluation pool backend for the intra-pair search: `thread` or `process`.",
 )
 register(
     "MAS_TRACE",
@@ -193,40 +176,16 @@ register(
     "Worker processes for the benchmark harness's tuning+simulation matrix.",
 )
 register(
-    "MAS_BENCH_SEARCH_WORKERS",
-    None,
-    "Candidate-evaluation workers per pair in the benchmark harness "
-    "(default: the runner default, which honours `MAS_SEARCH_WORKERS`).",
-)
-register(
-    "MAS_BENCH_INTRA_BUDGET",
-    "300",
-    "Search budget of the intra-pair parallel-evaluator scaling benchmark.",
-)
-register(
-    "MAS_BENCH_CACHE_DIR",
-    None,
-    "Persistent tuning-result cache directory shared across benchmark "
-    "sessions (legacy directory format).",
-)
-register(
     "MAS_BENCH_CACHE_URI",
     None,
-    "Result-store URI shared across benchmark sessions; wins over "
-    "`MAS_BENCH_CACHE_DIR`.",
+    "Result-store URI shared across benchmark sessions (e.g. "
+    "`sqlite:///bench.db`).",
 )
 register(
     "MAS_BENCH_SUITE",
     None,
     "Workload suite swept by the table/figure benchmarks (name or inline "
     "spec; default: Table 1).",
-)
-register(
-    "MAS_ANALYTIC",
-    "1",
-    "Vectorized analytic pre-pass in the search objective: batch feasibility "
-    "masks computed before any task graph is built. Set to `0` to force the "
-    "legacy simulate-everything path.",
 )
 register(
     "MAS_ANALYTIC_PRUNE",

@@ -13,6 +13,7 @@ import pytest
 from repro.core.tiling import TilingConfig
 from repro.hardware.config import HardwareConfig, MacUnitSpec, MemoryLevelSpec, VecUnitSpec
 from repro.hardware.presets import simulated_edge_device
+from repro.search.objective import SchedulerObjective
 from repro.utils import env
 from repro.utils.units import KB, MB
 from repro.workloads.attention import AttentionWorkload
@@ -29,6 +30,22 @@ SWEEP_SUITE_SPECS: tuple[str, ...] = (
 _env_suite = env.value("MAS_TEST_SUITE")
 if _env_suite:
     SWEEP_SUITE_SPECS = (_env_suite,)
+
+
+class OneAtATimeObjective(SchedulerObjective):
+    """Reference objective: a batch is a plain loop over :meth:`evaluate`.
+
+    No analytic pre-pass and no batching — the serial evaluate-one,
+    record-one loop that batched evaluation must reproduce bit for bit.
+    """
+
+    def evaluate_batch(self, tilings):
+        return [self.evaluate(tiling) for tiling in tilings]
+
+
+@pytest.fixture
+def one_at_a_time_objective() -> type[SchedulerObjective]:
+    return OneAtATimeObjective
 
 
 @pytest.fixture

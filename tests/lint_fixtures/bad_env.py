@@ -9,8 +9,8 @@ def workers():
     return int(os.environ.get(WORKERS_ENV, "1"))  # direct read via constant
 
 
-def backend():
-    return os.getenv("MAS_SEARCH_BACKEND", "thread")  # direct read, literal
+def suites_file():
+    return os.getenv("MAS_SUITES_FILE", "")  # direct read, literal
 
 
 def uri():

@@ -3,9 +3,9 @@
 from repro.utils import env
 
 
-def workers():
-    return env.int_value("MAS_SEARCH_WORKERS")
+def trace_buffer():
+    return env.int_value("MAS_TRACE_BUFFER")
 
 
-def backend():
-    return env.value("MAS_SEARCH_BACKEND")
+def suites_file():
+    return env.value("MAS_SUITES_FILE")

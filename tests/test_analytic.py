@@ -10,7 +10,7 @@ Three contracts are pinned down here:
   exceed what the simulator reports;
 * **bit-identical search** — with pruning disabled (the default) the analytic
   pre-pass changes nothing observable: memo state, evaluation counts, history
-  rows and the best tiling all match the legacy simulate-everything path, and
+  rows and the best tiling all match a one-at-a-time ``evaluate`` loop, and
   with pruning enabled a pruned candidate can never be reported as the winner.
 """
 
@@ -24,6 +24,7 @@ from repro.core.costs import TileCosts, partition_blocks
 from repro.core.overwrite import InfeasibleTilingError
 from repro.core.tiling import TilingConfig
 from repro.schedulers.registry import ALL_SCHEDULERS, make_scheduler
+from repro.search import autotuner
 from repro.search.autotuner import AutoTuner
 from repro.search.objective import SchedulerObjective
 from repro.workloads.attention import AttentionWorkload
@@ -164,16 +165,14 @@ class TestAnalyticBounds:
 # --------------------------------------------------------------------------- #
 class TestEvaluateBatchAccounting:
     def _objectives(self, edge_hw, workload, scheduler_name="flat"):
-        make = lambda analytic: SchedulerObjective(  # noqa: E731
-            make_scheduler(scheduler_name, edge_hw),
-            workload,
-            analytic=analytic,
-            analytic_prune=False,
+        """A batched objective and a reference only ever called one at a time."""
+        make = lambda: SchedulerObjective(  # noqa: E731
+            make_scheduler(scheduler_name, edge_hw), workload, analytic_prune=False
         )
-        return make(True), make(False)
+        return make(), make()
 
     def test_duplicates_and_memoized_match_serial_evaluate(self, edge_hw, tiny_workload):
-        analytic, legacy = self._objectives(edge_hw, tiny_workload)
+        analytic, serial = self._objectives(edge_hw, tiny_workload)
         # Pre-memoize a couple of candidates, then hand evaluate_batch a batch
         # with duplicates, already-memoized tilings and an infeasible giant.
         warm = [TILINGS[0], TILINGS[2]]
@@ -181,14 +180,14 @@ class TestEvaluateBatchAccounting:
         batch = warm + TILINGS[:4] + [TILINGS[1], infeasible, TILINGS[1], infeasible]
         for tiling in warm:
             analytic.evaluate(tiling)
-            legacy.evaluate(tiling)
+            serial.evaluate(tiling)
 
         batch_evals = analytic.evaluate_batch(batch)
-        serial_evals = [legacy.evaluate(tiling) for tiling in batch]
+        serial_evals = [serial.evaluate(tiling) for tiling in batch]
 
-        assert analytic.num_evaluations == legacy.num_evaluations
-        assert analytic.cache_size == legacy.cache_size
-        assert analytic._cache.keys() == legacy._cache.keys()
+        assert analytic.num_evaluations == serial.num_evaluations
+        assert analytic.cache_size == serial.cache_size
+        assert analytic._cache.keys() == serial._cache.keys()
         for got, expected in zip(batch_evals, serial_evals):
             assert got.tiling == expected.tiling
             assert got.feasible == expected.feasible
@@ -206,14 +205,14 @@ class TestEvaluateBatchAccounting:
         assert again[:3] == first
 
     def test_infeasible_short_circuit_counts_as_evaluation(self, tiny_hw, small_workload):
-        analytic, legacy = self._objectives(tiny_hw, small_workload)
+        analytic, serial = self._objectives(tiny_hw, small_workload)
         overflowing = TilingConfig(bb=1, hh=4, nq=128, nkv=128, kv_resident=True)
         assert not make_scheduler("flat", tiny_hw).fits(small_workload, overflowing)
         (got,) = analytic.evaluate_batch([overflowing])
-        expected = legacy.evaluate(overflowing)
+        expected = serial.evaluate(overflowing)
         assert not got.feasible and got.value == float("inf")
         assert got.value == expected.value
-        assert analytic.num_evaluations == legacy.num_evaluations == 1
+        assert analytic.num_evaluations == serial.num_evaluations == 1
         assert analytic.analytic_stats["num_infeasible"] == 1
         assert analytic.analytic_stats["num_simulated"] == 0
 
@@ -233,7 +232,7 @@ class TestPruning:
             stats["num_simulated"] + stats["num_infeasible"] + stats["num_pruned"]
             == objective.num_evaluations
         )
-        simulated = [e for e in evaluations if e.result is not None]
+        simulated = [e for e in evaluations if e.feasible]
         pruned = [e for e in evaluations if e.pruned]
         assert simulated, "at least the eventual best must be simulated"
         best = min(e.value for e in simulated if e.feasible)
@@ -257,7 +256,7 @@ class TestPruning:
 
     @pytest.mark.parametrize("scheduler", ["mas", "flat"])
     def test_search_bit_identical_with_analytic_pre_pass(
-        self, scheduler, edge_hw, tiny_workload, monkeypatch
+        self, scheduler, edge_hw, tiny_workload, monkeypatch, one_at_a_time_objective
     ):
         def rows(result):
             return [
@@ -269,15 +268,15 @@ class TestPruning:
             tuner = AutoTuner(edge_hw, strategy="mcts+ga", budget=60, seed=0)
             return tuner.tune(scheduler, tiny_workload)
 
-        monkeypatch.setenv("MAS_ANALYTIC", "0")
         monkeypatch.setenv("MAS_ANALYTIC_PRUNE", "0")
-        legacy = tune()
-        monkeypatch.setenv("MAS_ANALYTIC", "1")
+        with monkeypatch.context() as patch:
+            patch.setattr(autotuner, "SchedulerObjective", one_at_a_time_objective)
+            serial = tune()
         analytic = tune()
 
-        assert analytic.best_tiling == legacy.best_tiling
-        assert analytic.best_value == legacy.best_value
-        assert rows(analytic) == rows(legacy)
-        assert analytic.objective_evaluations == legacy.objective_evaluations
+        assert analytic.best_tiling == serial.best_tiling
+        assert analytic.best_value == serial.best_value
+        assert rows(analytic) == rows(serial)
+        assert analytic.objective_evaluations == serial.objective_evaluations
         stats = analytic.analytic_stats
         assert stats is not None and stats["analytic"] == 1 and stats["num_pruned"] == 0

@@ -34,9 +34,9 @@ class TestParser:
 
     def test_exec_flags_parse(self):
         args = build_parser().parse_args(
-            ["table2", "--jobs", "4", "--cache-dir", "/tmp/c", "--no-cache"]
+            ["table2", "--jobs", "4", "--cache", "dir:/tmp/c", "--no-cache"]
         )
-        assert args.jobs == 4 and args.cache_dir == "/tmp/c" and args.no_cache
+        assert args.jobs == 4 and args.cache_uri == "dir:/tmp/c" and args.no_cache
         defaults = build_parser().parse_args(["fig6"])
         assert defaults.jobs == 1 and not defaults.no_cache
 
@@ -48,43 +48,31 @@ class TestParser:
     def test_sweeps_and_cache_group_resolve_env_identically(
         self, tmp_path, monkeypatch, capsys
     ):
-        """With both env vars set, a sweep and `cache stats` use one store."""
+        """With $MAS_CACHE_URI set, a sweep and `cache stats` use one store."""
         monkeypatch.setenv("MAS_CACHE_URI", f"sqlite:///{tmp_path}/env.db")
-        monkeypatch.setenv("MAS_CACHE_DIR", str(tmp_path / "legacy"))
         assert main(["table2", "--budget", "4", "--networks", "ViT-B/14"]) == 0
         capsys.readouterr()
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert "entries : 5" in out and "env.db" in out
-        assert not (tmp_path / "legacy").exists()
 
     def test_explicit_cache_dir_beats_env_uri(self, tmp_path, monkeypatch):
-        """$MAS_CACHE_URI is the *fallback*: an explicit --cache-dir wins."""
+        """$MAS_CACHE_URI is the *fallback*: an explicit --cache dir: wins."""
         monkeypatch.setenv("MAS_CACHE_URI", f"sqlite:///{tmp_path}/env.db")
         explicit = tmp_path / "explicit"
         assert (
             main(
                 ["table2", "--budget", "4", "--networks", "ViT-B/14",
-                 "--cache-dir", str(explicit)]
+                 "--cache", f"dir:{explicit}"]
             )
             == 0
         )
         assert len(list(explicit.glob("*.json"))) == 5
         assert not (tmp_path / "env.db").exists()
 
-    def test_search_flags_parse(self):
-        args = build_parser().parse_args(
-            ["table2", "--search-workers", "4", "--search-backend", "process", "--stream"]
-        )
-        assert args.search_workers == 4
-        assert args.search_backend == "process"
-        assert args.stream
-        defaults = build_parser().parse_args(["fig7"])
-        assert defaults.search_workers is None
-        assert defaults.search_backend is None
-        assert not defaults.stream
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table2", "--search-backend", "fiber"])
+    def test_stream_flag_parses(self):
+        assert build_parser().parse_args(["table2", "--stream"]).stream
+        assert not build_parser().parse_args(["fig7"]).stream
 
 
 class TestCommands:
@@ -121,8 +109,7 @@ class TestCommands:
 
     def test_table2_streaming_progress(self, capsys):
         code = main(
-            ["table2", "--budget", "5", "--networks", "ViT-B/14", "--stream",
-             "--search-workers", "2"]
+            ["table2", "--budget", "5", "--networks", "ViT-B/14", "--stream"]
         )
         assert code == 0
         captured = capsys.readouterr()
@@ -212,9 +199,13 @@ class TestSuiteCli:
         out = capsys.readouterr().out
         assert "ViT-B/14 @b8" in out and "table1@batch=8" in out
 
-    def test_suites_command_rejects_unknown(self):
-        with pytest.raises(KeyError):
+    def test_suites_command_rejects_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["suites", "table9"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mas-attention: error: unknown suite 'table9'")
+        assert len(err.strip().splitlines()) == 1
 
     def test_table2_suite_table1_output_identical_to_default(self, capsys):
         assert main(["table2", "--no-search", "--networks", "ViT-B/14"]) == 0
@@ -269,7 +260,6 @@ class TestCacheCli:
 
     def test_cache_requires_subcommand_and_target(self, monkeypatch):
         monkeypatch.delenv("MAS_CACHE_URI", raising=False)
-        monkeypatch.delenv("MAS_CACHE_DIR", raising=False)
         with pytest.raises(SystemExit):
             main(["cache"])
         with pytest.raises(SystemExit, match="no result store"):

@@ -240,20 +240,20 @@ def test_tag_syntax_inside_strings_is_ignored():
 # env registry and the docs cross-check
 # --------------------------------------------------------------------------- #
 def test_env_value_precedence(monkeypatch):
-    monkeypatch.delenv("MAS_SEARCH_BACKEND", raising=False)
-    assert env.value("MAS_SEARCH_BACKEND") == "thread"  # registry default
-    monkeypatch.setenv("MAS_SEARCH_BACKEND", "process")
-    assert env.value("MAS_SEARCH_BACKEND") == "process"
-    monkeypatch.setenv("MAS_SEARCH_BACKEND", "   ")  # blank == unset
-    assert env.value("MAS_SEARCH_BACKEND") == "thread"
+    monkeypatch.delenv("MAS_TRACE_BUFFER", raising=False)
+    assert env.value("MAS_TRACE_BUFFER") == "1"  # registry default
+    monkeypatch.setenv("MAS_TRACE_BUFFER", "64")
+    assert env.value("MAS_TRACE_BUFFER") == "64"
+    monkeypatch.setenv("MAS_TRACE_BUFFER", "   ")  # blank == unset
+    assert env.value("MAS_TRACE_BUFFER") == "1"
 
 
 def test_env_int_value(monkeypatch):
-    monkeypatch.setenv("MAS_SEARCH_WORKERS", "4")
-    assert env.int_value("MAS_SEARCH_WORKERS") == 4
-    monkeypatch.setenv("MAS_SEARCH_WORKERS", "four")
+    monkeypatch.setenv("MAS_BENCH_JOBS", "4")
+    assert env.int_value("MAS_BENCH_JOBS") == 4
+    monkeypatch.setenv("MAS_BENCH_JOBS", "four")
     with pytest.raises(ValueError, match="is not an integer"):
-        env.int_value("MAS_SEARCH_WORKERS")
+        env.int_value("MAS_BENCH_JOBS")
 
 
 def test_env_unknown_name_rejected():
@@ -270,7 +270,7 @@ def test_env_docs_drift_is_flagged(tmp_path):
     docs = tmp_path / "env_vars.md"
     rows = env.render_markdown_table().splitlines()
     # drop one registered row (a variable no other row mentions), add a phantom
-    dropped = [r for r in rows if not r.startswith("| `MAS_BENCH_INTRA_BUDGET` ")]
+    dropped = [r for r in rows if not r.startswith("| `MAS_BENCH_LOCK_THREADS` ")]
     dropped.append("| `MAS_" "PHANTOM` | *(unset)* | not actually registered |")
     docs.write_text("\n".join(dropped) + "\n")
     clean = tmp_path / "empty.py"
@@ -280,7 +280,7 @@ def test_env_docs_drift_is_flagged(tmp_path):
     assert len(result.findings) == 2
     assert set(messages) == {"env-docs"}
     joined = "\n".join(f.message for f in result.findings)
-    assert "MAS_BENCH_INTRA_BUDGET is registered" in joined
+    assert "MAS_BENCH_LOCK_THREADS is registered" in joined
     assert "MAS_" "PHANTOM appears in the docs table" in joined
 
 

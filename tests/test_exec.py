@@ -85,19 +85,6 @@ class TestParallelMatchesSerial:
         matrix = runner.run_matrix(["ViT-B/14"], FAST_METHODS)
         assert matrix["ViT-B/14"]["mas"] is first
 
-    def test_search_workers_bit_identical_through_runner(self):
-        serial = ExperimentRunner(search_budget=BUDGET, seed=0)
-        workered = ExperimentRunner(search_budget=BUDGET, seed=0, search_workers=2)
-        for method, network in [("mas", "ViT-B/14"), ("flat", "ViT-B/16")]:
-            a = serial.run(method, network)
-            b = workered.run(method, network)
-            assert a.cycles == b.cycles and a.energy_pj == b.energy_pj
-            assert a.tuning.best_tiling == b.tuning.best_tiling
-            assert a.tuning.objective_evaluations == b.tuning.objective_evaluations
-            assert [r.value for r in a.tuning.history.records] == [
-                r.value for r in b.tuning.history.records
-            ]
-
 
 def _run_keys(runs) -> set[tuple[str, str, int]]:
     return {(r.scheduler, r.network, r.cycles) for r in runs}
@@ -163,11 +150,11 @@ class TestIterMatrix:
         reference = _matrix_keys(serial.run_matrix(FAST_NETWORKS, FAST_METHODS))
         assert _matrix_keys(runner.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
 
-    def test_search_workers_and_backend_validated_eagerly(self):
-        with pytest.raises(ValueError):
-            ExperimentRunner(search_workers=0)
-        with pytest.raises(ValueError):
-            ExperimentRunner(search_backend="fiber")
+    def test_search_workers_other_than_one_rejected(self):
+        assert ExperimentRunner(use_search=False, search_workers=1).search_workers == 1
+        for workers in (0, 2):
+            with pytest.raises(ValueError, match="ParallelRunner.jobs"):
+                ExperimentRunner(search_workers=workers)
 
 
 class TestResultCache:
@@ -256,7 +243,7 @@ class TestResultCache:
 
 class TestWarmCacheSweep:
     def test_second_table2_invocation_performs_no_search(self, tmp_path):
-        kwargs = dict(search_budget=5, seed=0, cache_dir=tmp_path / "cache")
+        kwargs = dict(search_budget=5, seed=0, cache_uri=f"dir:{tmp_path / 'cache'}")
         cold_runner = ExperimentRunner(**kwargs)
         cold = run_table2(cold_runner, networks=["ViT-B/14"])
         cold_stats = cold_runner.cache_stats()
@@ -284,7 +271,7 @@ class TestWarmCacheSweep:
         # A tuning searched under bound pruning saw bound values instead of
         # simulations for pruned candidates, so it must be keyed as a separate
         # variant: warming the cache in one mode must not serve the other.
-        kwargs = dict(search_budget=5, seed=0, cache_dir=tmp_path / "cache")
+        kwargs = dict(search_budget=5, seed=0, cache_uri=f"dir:{tmp_path / 'cache'}")
         monkeypatch.setenv("MAS_ANALYTIC_PRUNE", "0")
         exact_runner = ExperimentRunner(**kwargs)
         run_table2(exact_runner, networks=["ViT-B/14"])
@@ -309,7 +296,7 @@ class TestWarmCacheSweep:
 
     def test_no_cache_flag_disables_persistence(self, tmp_path):
         runner = ExperimentRunner(
-            search_budget=5, cache_dir=tmp_path / "cache", use_cache=False
+            search_budget=5, cache_uri=f"dir:{tmp_path / 'cache'}", use_cache=False
         )
         runner.run("mas", "ViT-B/14")
         assert not (tmp_path / "cache").exists()
@@ -437,7 +424,7 @@ class TestSuiteCacheKeys:
     def test_cross_suite_cache_reuse_end_to_end(self, tmp_path):
         """A pair tuned under one suite is a warm hit under another suite
         that derives the same entry."""
-        kwargs = dict(search_budget=3, seed=0, cache_dir=tmp_path / "cache")
+        kwargs = dict(search_budget=3, seed=0, cache_uri=f"dir:{tmp_path / 'cache'}")
         spec_runner = ExperimentRunner(suite="table1@batch=8", **kwargs)
         cold = spec_runner.run("mas", "ViT-B/14 @b8")
         assert cold.tuned and not cold.cached

@@ -19,6 +19,7 @@ import threading
 import pytest
 
 from repro.cli import main as cli_main
+from repro.exec.pairs import PairSpec, execute_pair
 from repro.exec.runner import ParallelRunner
 from repro.obs import trace as obs_trace
 from repro.obs.export import chrome_trace, read_trace, write_chrome
@@ -454,6 +455,37 @@ class TestObsCli:
     def test_metrics_rejects_local_store_uris(self, tmp_path):
         with pytest.raises(SystemExit, match="served store"):
             cli_main(["obs", "metrics", f"sqlite:///{tmp_path}/x.db"])
+
+
+class TestSearchGenerationSpan:
+    def test_traced_search_nests_generation_spans_under_its_pair(
+        self, tmp_path, edge_hw, tiny_workload
+    ):
+        path = tmp_path / "pair.jsonl"
+        obs_trace.configure(path)
+        spec = PairSpec(
+            hardware=edge_hw,
+            method="mas",
+            network="tiny",
+            budget=6,
+            use_cache=False,
+            workload=tiny_workload,
+        )
+        execute_pair(spec)
+        obs_trace.reset()
+
+        spans = read_trace(path)
+        by_id = {s["span_id"]: s for s in spans}
+        (pair,) = [s for s in spans if s["name"] == "pair"]
+        generations = [s for s in spans if s["name"] == "search.generation"]
+        assert generations
+        for span in generations:
+            assert span["layer"] == "search"
+            assert set(span["attrs"]) == {"batch"} and span["attrs"]["batch"] >= 0
+            ancestor = by_id[span["parent_id"]]
+            while ancestor["span_id"] != pair["span_id"]:
+                ancestor = by_id[ancestor["parent_id"]]
+        assert sum(s["attrs"]["batch"] for s in generations) > 0
 
 
 # --------------------------------------------------------------------------- #

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.tiling import TilingConfig
@@ -11,13 +14,10 @@ from repro.search import (
     GeneticSearch,
     GridSearch,
     MCTSSearch,
-    ParallelEvaluator,
     RandomSearch,
     SchedulerObjective,
     SearchHistory,
     TilingSearchSpace,
-    resolve_backend,
-    resolve_workers,
     tune_scheduler,
 )
 from repro.search.autotuner import STRATEGIES
@@ -162,8 +162,8 @@ class TestObjective:
 
 class TestBatchedEvaluation:
     def test_batch_matches_serial_order_and_accounting(self, workload, edge_hw):
-        serial = SchedulerObjective(MASAttentionScheduler(edge_hw), workload, workers=1)
-        batched = SchedulerObjective(MASAttentionScheduler(edge_hw), workload, workers=1)
+        serial = SchedulerObjective(MASAttentionScheduler(edge_hw), workload)
+        batched = SchedulerObjective(MASAttentionScheduler(edge_hw), workload)
         tilings = [
             TilingConfig(nq=64, nkv=64),
             TilingConfig(nq=32, nkv=64),
@@ -177,57 +177,6 @@ class TestBatchedEvaluation:
         assert got[0] is got[2]  # one evaluation object for the duplicate
         assert batched.num_evaluations == serial.num_evaluations == 3
         assert batched.cache_size == 3
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_batch_bit_identical(self, workload, edge_hw, backend):
-        tilings = [
-            TilingConfig(nq=nq, nkv=nkv, kv_resident=kv)
-            for nq in (32, 64, 128)
-            for nkv in (32, 64)
-            for kv in (False, True)
-        ]
-        results = {}
-        for workers in (1, 4):
-            objective = SchedulerObjective(
-                MASAttentionScheduler(edge_hw), workload, workers=workers, backend=backend
-            )
-            try:
-                batch = objective.evaluate_batch(tilings)
-                results[workers] = (
-                    [(e.tiling, e.value, e.cycles, e.energy_pj, e.feasible) for e in batch],
-                    objective.num_evaluations,
-                )
-            finally:
-                objective.close()
-        assert results[1] == results[4]
-
-    def test_worker_and_backend_resolution(self, workload, edge_hw, monkeypatch):
-        monkeypatch.delenv("MAS_SEARCH_WORKERS", raising=False)
-        monkeypatch.delenv("MAS_SEARCH_BACKEND", raising=False)
-        assert resolve_workers(None) == 1 and resolve_workers(3) == 3
-        assert resolve_backend(None) == "thread" and resolve_backend("process") == "process"
-        monkeypatch.setenv("MAS_SEARCH_WORKERS", "2")
-        monkeypatch.setenv("MAS_SEARCH_BACKEND", "process")
-        assert resolve_workers(None) == 2
-        assert resolve_backend(None) == "process"
-        objective = SchedulerObjective(MASAttentionScheduler(edge_hw), workload)
-        assert objective.workers == 2
-        with pytest.raises(ValueError):
-            resolve_workers(0)
-        with pytest.raises(ValueError):
-            resolve_backend("fiber")
-        monkeypatch.setenv("MAS_SEARCH_WORKERS", "two")
-        with pytest.raises(ValueError):
-            resolve_workers(None)
-
-    def test_evaluator_pool_lifecycle(self, workload, edge_hw):
-        objective = SchedulerObjective(MASAttentionScheduler(edge_hw), workload, workers=2)
-        evaluator = ParallelEvaluator(objective, workers=2, backend="thread")
-        with evaluator:
-            batch = evaluator.evaluate([TilingConfig(nq=64, nkv=64), TilingConfig(nq=32, nkv=32)])
-            assert len(batch) == 2 and evaluator._pool is not None
-        assert evaluator._pool is None  # context exit shuts the pool down
-        evaluator.close()  # idempotent
 
 
 class TestHistory:
@@ -315,8 +264,9 @@ def _history_rows(history: SearchHistory) -> list[tuple]:
     ]
 
 
-class TestIntraPairDeterminism:
-    """GA/MCTS with parallel candidate evaluation are bit-identical to serial."""
+class TestBatchedSearchDeterminism:
+    """GA/MCTS over batched evaluation are bit-identical to one-at-a-time
+    (pruning off: bound pruning is allowed to reshape the trajectory)."""
 
     @pytest.mark.parametrize("metric", ["cycles", "energy", "edp"])
     @pytest.mark.parametrize(
@@ -327,36 +277,19 @@ class TestIntraPairDeterminism:
         ],
         ids=["ga", "mcts"],
     )
-    def test_workers_do_not_change_results(self, workload, edge_hw, space, metric, make_search):
+    def test_batched_matches_one_at_a_time(
+        self, workload, edge_hw, space, metric, make_search, one_at_a_time_objective
+    ):
         outcomes = []
-        for workers in (1, 4):
-            objective = SchedulerObjective(
-                MASAttentionScheduler(edge_hw), workload, metric=metric, workers=workers
+        for objective_cls in (SchedulerObjective, one_at_a_time_objective):
+            objective = objective_cls(
+                MASAttentionScheduler(edge_hw), workload, metric=metric, analytic_prune=False
             )
-            try:
-                history = make_search().run(objective, space, budget=20)
-            finally:
-                objective.close()
+            history = make_search().run(objective, space, budget=20)
             outcomes.append(
                 (_history_rows(history), history.best_tiling, objective.num_evaluations)
             )
         assert outcomes[0] == outcomes[1]
-
-    def test_autotuner_mcts_ga_workers_identical(self, workload, edge_hw):
-        results = []
-        for workers in (1, 4):
-            tuning = AutoTuner(
-                edge_hw, strategy="mcts+ga", budget=24, seed=0, workers=workers
-            ).tune("mas", workload)
-            results.append(
-                (
-                    _history_rows(tuning.history),
-                    tuning.best_tiling,
-                    tuning.best_value,
-                    tuning.objective_evaluations,
-                )
-            )
-        assert results[0] == results[1]
 
 
 class TestGABudgetAccounting:
@@ -407,6 +340,32 @@ class TestAutoTuner:
         assert tuning.best_value <= default_cycles
         assert tuning.num_evaluations <= 40 + 1
         assert tuning.best_tiling.nq <= workload.seq_q
+
+    def test_tuning_result_pins_no_simulation(self, edge_hw, workload):
+        """Memoized evaluations keep numbers only: once the search is over,
+        no simulation result or task graph it built is reachable from the
+        returned tuning."""
+        scheduler = MASAttentionScheduler(edge_hw)
+        build, simulate = scheduler.build, scheduler.simulate
+        refs = []
+
+        def recording_build(*args, **kwargs):
+            built = build(*args, **kwargs)
+            refs.append(weakref.ref(built.graph))
+            return built
+
+        def recording_simulate(*args, **kwargs):
+            result = simulate(*args, **kwargs)
+            refs.append(weakref.ref(result))
+            return result
+
+        scheduler.build = recording_build
+        scheduler.simulate = recording_simulate
+        tuning = AutoTuner(edge_hw, budget=12, seed=0).tune(scheduler, workload)
+        gc.collect()
+        assert tuning.history.best is not None and tuning.history.best.feasible
+        assert refs, "the search must have simulated something"
+        assert [ref for ref in refs if ref() is not None] == []
 
     def test_tuner_caches_results(self, edge_hw, workload):
         tuner = AutoTuner(edge_hw, budget=20)

@@ -569,7 +569,7 @@ class TestSweepBitIdentity:
             ExperimentRunner(**kwargs).run_matrix(FAST_NETWORKS, FAST_METHODS)
         )
         runners = [
-            ExperimentRunner(**kwargs, cache_dir=tmp_path / "jsondir"),
+            ExperimentRunner(**kwargs, cache_uri=f"dir:{tmp_path}/jsondir"),
             ExperimentRunner(**kwargs, cache_uri=f"sqlite:///{tmp_path}/serial.db"),
             ParallelRunner(**kwargs, jobs=2, cache_uri=f"dir:{tmp_path}/jsondir-par"),
             ParallelRunner(**kwargs, jobs=2, cache_uri=f"sqlite:///{tmp_path}/par.db"),
@@ -605,7 +605,7 @@ class TestSweepBitIdentity:
     def test_warm_sweep_after_migration_gets_every_hit(self, tmp_path):
         """The acceptance path: jsondir cache -> migrate -> sqlite, 100% warm."""
         kwargs = dict(search_budget=BUDGET, seed=0)
-        cold = ExperimentRunner(**kwargs, cache_dir=tmp_path / "jsondir")
+        cold = ExperimentRunner(**kwargs, cache_uri=f"dir:{tmp_path}/jsondir")
         reference = _matrix_fingerprint(cold.run_matrix(FAST_NETWORKS, FAST_METHODS))
         searched = cold.cache_stats()["searches"]
 
@@ -625,7 +625,7 @@ class TestSweepBitIdentity:
         """Entries written in the old flat v2 layout keep hitting after the
         entry-schema bump — the stale-discard bug this PR fixes."""
         cache_dir = tmp_path / "cache"
-        cold = ExperimentRunner(search_budget=BUDGET, seed=0, cache_dir=cache_dir)
+        cold = ExperimentRunner(search_budget=BUDGET, seed=0, cache_uri=f"dir:{cache_dir}")
         run = cold.run("mas", "ViT-B/14")
 
         # Rewrite every entry exactly as the pre-store ResultCache did.
@@ -635,7 +635,7 @@ class TestSweepBitIdentity:
             old = {"schema": 2, "key": key, "tuning": payload["tuning"]}
             (cache_dir / f"{key}.json").write_text(json.dumps(old, indent=2, sort_keys=True))
 
-        warm = ExperimentRunner(search_budget=BUDGET, seed=0, cache_dir=cache_dir)
+        warm = ExperimentRunner(search_budget=BUDGET, seed=0, cache_uri=f"dir:{cache_dir}")
         warm_run = warm.run("mas", "ViT-B/14")
         assert warm_run.cached
         assert warm_run.cycles == run.cycles
@@ -1110,8 +1110,8 @@ class TestResultCacheOverStores:
         runner.run("mas", "ViT-B/14")
         assert (tmp_path / "env.db").exists()
         # explicit targets win over the environment
-        explicit = ExperimentRunner(search_budget=BUDGET, cache_dir=tmp_path / "dir")
-        assert explicit.cache_target == str(tmp_path / "dir")
+        explicit = ExperimentRunner(search_budget=BUDGET, cache_uri=f"dir:{tmp_path}/dir")
+        assert explicit.cache_target == f"dir:{tmp_path}/dir"
         # and --no-cache still wins over everything
         off = ExperimentRunner(search_budget=BUDGET, seed=0, use_cache=False)
         off.run("mas", "ViT-B/14")
