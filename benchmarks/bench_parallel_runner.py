@@ -11,11 +11,6 @@ GA sweeps through batched evaluation (analytic pre-pass, then a simulation
 per survivor) must reproduce a one-at-a-time ``evaluate`` sweep bit for bit,
 and the vectorized pre-pass must beat per-candidate simulation >=10x.
 
-A further axis is lock contention: ``test_service_lock_concurrency`` drives
-concurrent client threads against one :class:`~repro.service.StoreService`
-over distinct keys and gates the striped per-key locking's throughput
-against the old single-global-lock behaviour (``stripes=1``).
-
 ``test_tracing_overhead`` gates the observability layer itself: the same
 sweep traced (``MAS_TRACE``-equivalent, 64-span buffer) versus untraced
 must stay within 5% wall time with bit-identical results.
@@ -23,15 +18,13 @@ must stay within 5% wall time with bit-identical results.
 Scale knobs: ``MAS_BENCH_BUDGET`` (search budget), ``MAS_BENCH_NETWORKS``
 (network subset; defaults to three Table-1 networks here so the four sweeps
 stay quick), ``MAS_BENCH_JOBS`` (worker processes for the parallel sweep),
-``MAS_BENCH_SEARCH_BUDGET`` (search-throughput GA budget),
-``MAS_BENCH_LOCK_THREADS`` (lock-contention clients).
+and ``MAS_BENCH_SEARCH_BUDGET`` (search-throughput GA budget).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from pathlib import Path
 from typing import Any
@@ -45,10 +38,7 @@ from repro.schedulers.registry import ALL_SCHEDULERS, make_scheduler
 from repro.search import autotuner
 from repro.search.autotuner import AutoTuner, TuningResult
 from repro.search.objective import SchedulerObjective
-from repro.service import StoreService, running_server, server_url
 from repro.store import JsonDirStore, SqliteStore, migrate_store
-from repro.store.base import EntryInfo, ResultStore
-from repro.store.schema import make_payload
 from repro.utils import env
 from repro.workloads.networks import get_network
 
@@ -60,11 +50,10 @@ BENCH_NETWORKS = _networks or ["BERT-Base & T5-Base", "ViT-B/16", "XLM"]
 _jobs = env.int_value("MAS_BENCH_JOBS")
 PARALLEL_JOBS = _jobs if _jobs > 1 else min(4, os.cpu_count() or 1)
 SEARCH_THROUGHPUT_BUDGET = env.int_value("MAS_BENCH_SEARCH_BUDGET")
-LOCK_THREADS = env.int_value("MAS_BENCH_LOCK_THREADS")
 #: The dataflows whose tiling space the tuner actually searches.
 SEARCH_METHODS = [name for name, cls in ALL_SCHEDULERS.items() if cls.searchable]
 #: Perf records (one top-level key per benchmark) — the trajectories future
-#: PRs regress the candidate-evaluation and service-locking paths against.
+#: PRs regress the candidate-evaluation and tracing paths against.
 BENCH_SEARCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_search.json"
 
 
@@ -238,15 +227,12 @@ def test_tracing_overhead(benchmark, tmp_path_factory):
 
 
 def test_result_store_backends(benchmark, tmp_path_factory):
-    """Warm-sweep wall time per store backend: JSON directory, SQLite, HTTP.
+    """Warm-sweep wall time per store backend: JSON directory and SQLite.
 
     One cold sweep populates a JSON-directory cache, which is then migrated
-    (zero entry loss) into a SQLite store; that store is additionally served
-    over a local ``mas-attention serve``-equivalent HTTP service.  All three
-    backends must serve a bit-identical warm sweep with zero searches.  The
-    benchmarked path is the SQLite warm sweep — the shared-store steady
-    state — with the HTTP warm sweep reported alongside as the fleet
-    steady state (its delta over SQLite is the round-trip cost).
+    (zero entry loss) into a SQLite store.  Both backends must serve a
+    bit-identical warm sweep with zero searches.  The benchmarked path is
+    the SQLite warm sweep — the shared-store steady state.
     """
     root = tmp_path_factory.mktemp("store-bench")
     kwargs = dict(search_budget=SEARCH_BUDGET, seed=0)
@@ -271,12 +257,6 @@ def test_result_store_backends(benchmark, tmp_path_factory):
     assert dir_stats["searches"] == db_stats["searches"] == 0
     assert dir_stats["cache_misses"] == db_stats["cache_misses"] == 0
 
-    with running_server(SqliteStore(root / "store.db")) as server:
-        t_http, warm_http, http_stats = warm(server_url(server))
-        assert _fingerprint(warm_http) == reference
-        assert http_stats["searches"] == 0 and http_stats["cache_misses"] == 0
-        service_metrics = server.service.metrics.snapshot()
-
     result = benchmark.pedantic(
         lambda: warm(f"sqlite:///{root / 'store.db'}")[1], rounds=1, iterations=1
     )
@@ -287,18 +267,9 @@ def test_result_store_backends(benchmark, tmp_path_factory):
     print(f"cold (jsondir)    : {t_cold:8.2f} s  ({report.migrated} entries migrated)")
     print(f"warm jsondir      : {t_dir:8.2f} s")
     print(f"warm sqlite       : {t_db:8.2f} s")
-    print(
-        f"warm http         : {t_http:8.2f} s  "
-        f"({service_metrics['hits']} served hits, "
-        f"{service_metrics['requests']['POST /lookup']['mean_ms']:.2f} ms/lookup)"
-    )
     benchmark.extra_info["cold_s"] = round(t_cold, 3)
     benchmark.extra_info["warm_jsondir_s"] = round(t_dir, 3)
     benchmark.extra_info["warm_sqlite_s"] = round(t_db, 3)
-    benchmark.extra_info["warm_http_s"] = round(t_http, 3)
-    benchmark.extra_info["http_mean_lookup_ms"] = round(
-        service_metrics["requests"]["POST /lookup"]["mean_ms"], 3
-    )
     benchmark.extra_info["migrated_entries"] = report.migrated
 
 
@@ -478,137 +449,3 @@ def test_search_throughput_analytic(benchmark, monkeypatch):
     benchmark.extra_info.update(record["sweep"])
     benchmark.extra_info["hot_path"] = record["hot_path"]
     benchmark.extra_info["prune_speedup_vs_legacy"] = record["prune_speedup_vs_legacy"]
-
-
-class _SlowMemoryStore(ResultStore):
-    """In-memory store whose reads stall a fixed ~2 ms, standing in for I/O.
-
-    The lock benchmark must measure the *service's* locking, not a backend's
-    own serialization (SQLite write locks, filesystem round trips), so the
-    backend is a plain dict plus a deterministic artificial read latency —
-    long enough to dwarf lock bookkeeping, short enough to keep the
-    benchmark sub-second.
-    """
-
-    def __init__(self, read_delay_s: float) -> None:
-        super().__init__()
-        self._read_delay_s = read_delay_s
-        self._data: dict[str, dict[str, Any]] = {}
-        self._clock = 0
-
-    def uri(self) -> str:
-        return "slowmem:"
-
-    def read(self, key: str) -> dict[str, Any] | None:
-        time.sleep(self._read_delay_s)
-        return self._data.get(key)
-
-    def write(self, key: str, payload: dict[str, Any]) -> None:
-        self._data[key] = payload
-        self.touch(key)
-
-    def delete(self, key: str) -> bool:
-        return self._data.pop(key, None) is not None
-
-    def keys(self) -> list[str]:
-        return sorted(self._data)
-
-    def touch(self, key: str) -> None:
-        # A logical clock keeps LRU order deterministic without real time.
-        self._clock += 1
-
-    def _list_entries(self) -> list[EntryInfo]:
-        return [
-            EntryInfo(
-                key=key,
-                schema=payload.get("schema"),
-                scheduler=None,
-                workload=None,
-                strategy=None,
-                suite=None,
-                size_bytes=len(json.dumps(payload)),
-                last_used=float(self._clock),
-            )
-            for key, payload in self._data.items()
-        ]
-
-
-#: Per-key lookups each client thread issues in the lock benchmark.
-LOCK_OPS_PER_THREAD = 50
-_LOCK_READ_DELAY_S = 0.002
-
-
-def _lock_throughput(stripes: int) -> float:
-    """Lookups/sec through one ``StoreService`` under concurrent clients.
-
-    ``LOCK_THREADS`` threads each sweep their own disjoint key range, so
-    with per-key locking no two clients ever contend on a stripe; with
-    ``stripes=1`` (the pre-refactor global lock) every lookup serializes
-    behind every other and throughput collapses to one backend read at a
-    time.
-    """
-    service = StoreService(_SlowMemoryStore(_LOCK_READ_DELAY_S), stripes=stripes)
-    for tid in range(LOCK_THREADS):
-        for i in range(LOCK_OPS_PER_THREAD):
-            key = f"bench/lock/{tid}/{i}"
-            service.write(key, make_payload(key, {"best_value": 1.0}, suite="bench"))
-
-    barrier = threading.Barrier(LOCK_THREADS + 1)
-    statuses: list[str] = []
-
-    def client(tid: int) -> None:
-        mine = [f"bench/lock/{tid}/{i}" for i in range(LOCK_OPS_PER_THREAD)]
-        barrier.wait()
-        got = [service.lookup(key)[1] for key in mine]
-        statuses.extend(got)  # list.extend is atomic under the GIL
-
-    threads = [
-        threading.Thread(target=client, args=(tid,), name=f"lock-bench-{tid}")
-        for tid in range(LOCK_THREADS)
-    ]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    start = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - start
-
-    ops = LOCK_THREADS * LOCK_OPS_PER_THREAD
-    assert len(statuses) == ops and set(statuses) == {"hit"}
-    return ops / max(elapsed, 1e-9)
-
-
-def test_service_lock_concurrency(benchmark):
-    """Striped per-key locking vs the old global lock, concurrent distinct keys.
-
-    ``LOCK_THREADS`` client threads hammer one service over disjoint keys; a
-    2 ms simulated backend read makes lock *hold time* the dominant cost.
-    The striped service must clear at least twice the global-lock baseline's
-    throughput — anything less means per-key operations still queue behind
-    each other and the refactor regressed to a de-facto global lock.
-    """
-    global_rate = _lock_throughput(stripes=1)
-    striped_rate = _lock_throughput(stripes=64)
-    speedup = striped_rate / max(global_rate, 1e-9)
-
-    benchmark.pedantic(lambda: _lock_throughput(stripes=64), rounds=1, iterations=1)
-
-    record = {
-        "benchmark": "service-lock-concurrency",
-        "threads": LOCK_THREADS,
-        "ops_per_thread": LOCK_OPS_PER_THREAD,
-        "read_delay_ms": _LOCK_READ_DELAY_S * 1e3,
-        "global_lock_ops_per_s": round(global_rate, 1),
-        "striped_ops_per_s": round(striped_rate, 1),
-        "speedup": round(speedup, 2),
-    }
-    _merge_bench_record("service_lock", record)
-
-    print()
-    print(f"clients: {LOCK_THREADS} threads x {LOCK_OPS_PER_THREAD} lookups, distinct keys")
-    print(f"global lock (stripes=1) : {global_rate:8.1f} lookups/s")
-    print(f"striped (stripes=64)    : {striped_rate:8.1f} lookups/s  ({speedup:.1f}x)")
-
-    benchmark.extra_info.update(record)
-    assert speedup >= 2.0, f"striped-lock speedup {speedup:.2f}x < 2x over global lock"

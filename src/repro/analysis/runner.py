@@ -1,30 +1,16 @@
-"""Shared experiment driver — now implemented by :mod:`repro.exec`.
+"""The two helpers the suite-parametrized analysis harnesses share.
 
-The :class:`ExperimentRunner` that tunes and simulates every (method, network)
-pair moved into the execution layer (:mod:`repro.exec.runner`) when parallel
-sweeps and the persistent result cache were added; this module remains as the
-import path the analysis harnesses and downstream users were written against,
-plus the two small helpers the suite-parametrized harnesses share.
+The :class:`~repro.exec.runner.ExperimentRunner` that tunes and simulates
+every (method, network) pair lives in the execution layer
+(:mod:`repro.exec.runner`).
 """
 
 from __future__ import annotations
 
-from repro.exec.runner import (
-    DEFAULT_METHOD_ORDER,
-    ExperimentRunner,
-    MethodRun,
-    ParallelRunner,
-)
+from repro.exec.runner import ExperimentRunner
 from repro.workloads.suites import WorkloadSuite, get_suite
 
-__all__ = [
-    "MethodRun",
-    "ExperimentRunner",
-    "ParallelRunner",
-    "DEFAULT_METHOD_ORDER",
-    "resolve_runner",
-    "suite_title_suffix",
-]
+__all__ = ["resolve_runner", "suite_title_suffix"]
 
 
 def resolve_runner(

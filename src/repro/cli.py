@@ -25,22 +25,17 @@ Examples
    $ mas-attention cache stats --cache sqlite:///cache.db    # inspect the store
    $ mas-attention cache migrate dir:./cache sqlite:///cache.db
    $ mas-attention cache evict --cache sqlite:///cache.db --max-bytes 1GiB
-   $ mas-attention serve sqlite:///cache.db --port 8787      # fleet store service
-   $ mas-attention table2 --cache http://cachehost:8787      # sweep against it
    $ mas-attention suites --suites-file my_suites.json       # user suites
    $ mas-attention table2 --suite gqa                        # GQA/MQA shapes
    $ MAS_TRACE=trace.jsonl mas-attention table2 --jobs 4     # traced sweep
    $ mas-attention obs summarize trace.jsonl                 # where time went
    $ mas-attention obs convert trace.jsonl                   # -> Perfetto JSON
-   $ mas-attention obs metrics http://cachehost:8787         # service latency
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
 from typing import Sequence
 
 from repro import __version__, quick_compare
@@ -67,8 +62,6 @@ from repro.hardware.presets import PRESETS, get_preset
 from repro.schedulers.registry import list_schedulers, make_scheduler
 from repro.store import (
     EvictionPolicy,
-    HttpStore,
-    ShardedStore,
     migrate_store,
     open_store,
     parse_duration,
@@ -151,11 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache",
             dest="cache_uri",
             default=None,
-            help="result-store URI: dir:/path, sqlite:///path.db, "
-            "http://host:8787 (a running 'mas-attention serve') or "
-            "shard:http://a:8787,http://b:8787 (a service fleet, "
-            "?replicas=N), optionally with ?max_entries=N&max_bytes=SIZE"
-            "&ttl=AGE eviction caps (default: $MAS_CACHE_URI)",
+            help="result-store URI: dir:/path or sqlite:///path.db, "
+            "optionally with ?max_entries=N&max_bytes=SIZE&ttl=AGE "
+            "eviction caps (default: $MAS_CACHE_URI)",
         )
         p.add_argument(
             "--no-cache",
@@ -171,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--verbose",
             action="store_true",
-            help="report store health-probe details (service version, uptime, "
-            "pid) on stderr before the sweep",
+            help="no effect with local stores; kept so existing command "
+            "lines still parse",
         )
 
     sub.add_parser("networks", help="print the Table-1 network registry")
@@ -247,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = cache_sub.add_parser(
         "migrate",
-        help="copy every entry of one store into another (jsondir <-> sqlite "
-        "<-> http <-> shard), upgrading old entry schemas on the way",
+        help="copy every entry of one store into another (jsondir <-> sqlite), "
+        "upgrading old entry schemas on the way",
     )
     cp.add_argument("source", help="source store URI or directory")
     cp.add_argument("destination", help="destination store URI or directory")
@@ -274,27 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_cache_target(cp)
 
     p = sub.add_parser(
-        "serve",
-        help="serve a result store over HTTP (clients: --cache http://host:port)",
-    )
-    p.add_argument(
-        "store",
-        nargs="?",
-        default=None,
-        help="store URI or directory to front (default: $MAS_CACHE_URI)",
-    )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument(
-        "--port", type=int, default=8787, help="TCP port (0 picks a free one)"
-    )
-    p.add_argument(
-        "--verbose", action="store_true", help="log every request to stderr"
-    )
-
-    p = sub.add_parser(
         "obs",
-        help="observability toolchain: span traces ($MAS_TRACE), service metrics "
-        "and the perf trajectory",
+        help="observability toolchain: span traces ($MAS_TRACE) and the perf "
+        "trajectory",
     )
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
 
@@ -323,25 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="schema- and reference-check every span of a trace file",
     )
     op.add_argument("trace", help="span-trace JSONL file")
-
-    op = obs_sub.add_parser(
-        "metrics",
-        help="fetch and render a running store service's /metrics document",
-    )
-    op.add_argument(
-        "uri",
-        help="service URI: http://host:8787 or shard:http://a:8787,http://b:8787",
-    )
-    op.add_argument(
-        "--raw", action="store_true", help="print the raw JSON document instead"
-    )
-    op.add_argument(
-        "--watch",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="re-fetch and re-render every SECONDS until interrupted",
-    )
 
     op = obs_sub.add_parser(
         "bench",
@@ -431,7 +385,6 @@ def _make_runner(args: argparse.Namespace) -> ParallelRunner:
         use_cache=not args.no_cache,
         jobs=args.jobs,
         suite=_suite_spec(args),
-        verbose=args.verbose,
     )
 
 
@@ -451,9 +404,20 @@ def _stream_matrix(runner: ExperimentRunner, networks: list[str] | None) -> None
         )
 
 
-def _open_cache_store(target: str | None):
-    """The store a ``cache`` subcommand operates on (or a clear SystemExit)."""
-    store = open_store(target) if target else None
+def _usage_error(parser: argparse.ArgumentParser, exc: Exception) -> None:
+    """Exit 2 with one ``<prog>: error: ...`` line (argparse's usage-error form)."""
+    parser.exit(2, f"{parser.prog}: error: {exc.args[0]}\n")
+
+
+def _open_cache_store(parser: argparse.ArgumentParser, target: str | None):
+    """The store a ``cache`` subcommand operates on (or a clear SystemExit).
+
+    A malformed URI is a usage error: one line, exit code 2.
+    """
+    try:
+        store = open_store(target) if target else None
+    except ValueError as exc:
+        _usage_error(parser, exc)
     if store is None:  # unset, empty or whitespace-only target
         raise SystemExit(
             "no result store selected: pass --cache URI "
@@ -462,11 +426,13 @@ def _open_cache_store(target: str | None):
     return store
 
 
-def _run_cache_command(args: argparse.Namespace) -> int:
+def _run_cache_command(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> int:
     """The ``mas-attention cache`` group: stats / ls / migrate / evict / clear."""
     if args.cache_command == "migrate":
-        source = _open_cache_store(args.source)
-        destination = _open_cache_store(args.destination)
+        source = _open_cache_store(parser, args.source)
+        destination = _open_cache_store(parser, args.destination)
         try:
             report = migrate_store(source, destination, overwrite=args.overwrite)
         finally:
@@ -477,7 +443,7 @@ def _run_cache_command(args: argparse.Namespace) -> int:
             print(f"  stale entry left behind: {key}")
         return 0
 
-    store = _open_cache_store(args.cache_uri)
+    store = _open_cache_store(parser, args.cache_uri)
     try:
         return _run_cache_store_command(args, store)
     finally:
@@ -563,7 +529,7 @@ def _run_cache_store_command(args: argparse.Namespace, store) -> int:
 
 
 def _run_obs_command(args: argparse.Namespace) -> int:
-    """The ``mas-attention obs`` group: traces, service metrics, perf trajectory."""
+    """The ``mas-attention obs`` group: traces and the perf trajectory."""
     from repro.obs.export import read_trace, write_chrome
     from repro.obs.schema import validate_trace_file
     from repro.obs.summary import summarize_trace
@@ -595,40 +561,6 @@ def _run_obs_command(args: argparse.Namespace) -> int:
             return 1
         print(f"{args.trace}: {len(read_trace(args.trace))} spans, all valid")
         return 0
-
-    if args.obs_command == "metrics":
-        while True:
-            store = open_store(args.uri)
-            if not isinstance(store, (HttpStore, ShardedStore)):
-                if store is not None:
-                    store.close()
-                raise SystemExit(
-                    f"obs metrics needs a served store (http://host:port or "
-                    f"shard:...), got {args.uri!r}"
-                )
-            try:
-                document = store.metrics()
-            finally:
-                store.close()
-            if args.raw:
-                print(json.dumps(document, indent=2, sort_keys=True))
-            elif isinstance(store, ShardedStore):
-                print(json.dumps(document.get("fleet", {}), indent=2, sort_keys=True))
-                for url, shard_doc in sorted(document.get("shards", {}).items()):
-                    if "error" in shard_doc:
-                        print(f"\n{url}: unreachable ({shard_doc['error']})")
-                    else:
-                        print()
-                        _print_service_metrics(url, shard_doc)
-            else:
-                _print_service_metrics(store.uri(), document)
-            if args.watch is None:
-                return 0
-            try:
-                time.sleep(max(args.watch, 0.1))
-            except KeyboardInterrupt:
-                return 0
-            print(f"\n--- {args.uri} (every {args.watch:g}s, Ctrl-C stops) ---")
 
     if args.obs_command == "bench":
         return _run_obs_bench(args)
@@ -670,53 +602,6 @@ def _run_obs_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_service_metrics(title: str, document: dict) -> None:
-    """Render one service's JSON ``/metrics`` document as tables."""
-    counters = {
-        name: value
-        for name, value in sorted(document.items())
-        if isinstance(value, int) and name != "uptime_s"
-    }
-    counter_text = "  ".join(f"{name}={value}" for name, value in counters.items())
-    print(f"{title}  (uptime {document.get('uptime_s', 0.0):.0f}s)")
-    if counter_text:
-        print(f"  {counter_text}")
-    requests = document.get("requests") or {}
-    if requests:
-        print(
-            format_table(
-                ["Endpoint", "Count", "Errors", "Mean ms", "p50 ms", "p95 ms", "p99 ms", "Max ms"],
-                [
-                    [
-                        endpoint,
-                        stats.get("count", 0),
-                        stats.get("errors", 0),
-                        stats.get("mean_ms", 0.0),
-                        stats.get("p50_ms", 0.0),
-                        stats.get("p95_ms", 0.0),
-                        stats.get("p99_ms", 0.0),
-                        stats.get("max_ms", 0.0),
-                    ]
-                    for endpoint, stats in sorted(requests.items())
-                ],
-                title="request latency by endpoint",
-            )
-        )
-
-
-def _run_serve_command(args: argparse.Namespace) -> int:
-    """The ``mas-attention serve`` command: front a local store over HTTP."""
-    from repro.service import serve_store
-
-    store = _open_cache_store(args.store or env.value("MAS_CACHE_URI"))
-    if isinstance(store, (HttpStore, ShardedStore)):
-        raise SystemExit(
-            f"refusing to front {store.uri()}: serve needs the *local* backend "
-            "(dir:/path or sqlite:///path.db), not another HTTP service or fleet"
-        )
-    return serve_store(store, host=args.host, port=args.port, verbose=args.verbose)
-
-
 def _emit(text: str, result: object, json_path: str | None) -> None:
     print(text)
     if json_path:
@@ -740,10 +625,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         use_suites_file(args.suites_file)
 
     if args.command == "cache":
-        return _run_cache_command(args)
-
-    if args.command == "serve":
-        return _run_serve_command(args)
+        return _run_cache_command(parser, args)
 
     if args.command == "obs":
         return _run_obs_command(args)
@@ -761,7 +643,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             try:
                 suite = get_suite(args.spec)
             except (KeyError, ValueError) as exc:
-                parser.exit(2, f"{parser.prog}: error: {exc.args[0]}\n")
+                _usage_error(parser, exc)
             print(
                 format_table(
                     ["Entry", "B", "#Heads", "SeqQ", "SeqKV", "Emb"],
@@ -871,13 +753,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         get_suite(_suite_spec(args))
     except (KeyError, ValueError) as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc.args[0]}\n")
-    runner = _make_runner(args)
+        _usage_error(parser, exc)
+    # A malformed --cache / $MAS_CACHE_URI store URI fails the runner's
+    # eager store probe with a ValueError: a usage error too.
+    try:
+        runner = _make_runner(args)
+    except ValueError as exc:
+        _usage_error(parser, exc)
     if args.networks:
         try:
             runner.networks(args.networks)
         except KeyError as exc:
-            parser.exit(2, f"{parser.prog}: error: {exc.args[0]}\n")
+            _usage_error(parser, exc)
     if args.stream:
         _stream_matrix(runner, args.networks)
     if args.command == "table2":

@@ -1,10 +1,10 @@
 """Project-invariant static analysis (``mas-lint``).
 
 The repo's headline guarantees — sweeps bit-identical across ``--jobs``
-counts and store backends, a thread-safe :class:`~repro.service.server.
-StoreService` behind a multi-client fleet, lossless schema upgrades — are
-invariants that generic linters cannot see.  This package machine-checks
-them on every commit with five AST-based, project-specific checkers:
+counts and store backends, lock-guarded shared state, lossless schema
+upgrades — are invariants that generic linters cannot see.  This package
+machine-checks them on every commit with five AST-based, project-specific
+checkers:
 
 ``lock-discipline``
     Attributes mutated under a class's ``threading.Lock``/``RLock`` must
@@ -13,7 +13,7 @@ them on every commit with five AST-based, project-specific checkers:
 ``determinism``
     No unseeded randomness (``random.*`` module calls, legacy
     ``np.random.*`` global API) and no wall-clock reads outside the
-    benchmark/metrics/retry allowlist — a stray clock or RNG in the
+    benchmark/obs/retry allowlist — a stray clock or RNG in the
     simulation, cost or search layers breaks bit-identity.
 ``fork-safety``
     Classes holding non-picklable resources (sqlite connections, sockets,

@@ -22,7 +22,7 @@ class ModuleSource:
 
     ``rel`` is the resolved path in POSIX form — checkers match their
     per-path allowlists against it with substring tests, so an allowlist
-    entry like ``"repro/service/server.py"`` works from any checkout root.
+    entry like ``"repro/store/retry.py"`` works from any checkout root.
     """
 
     path: Path

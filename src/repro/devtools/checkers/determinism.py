@@ -14,8 +14,7 @@ that:
   ``datetime.now()`` etc. leak the host's clock into results.
 
 Modules whose *job* is timing are allowlisted by path: the observability
-layer (``repro/obs/`` — span timestamps and latency metrics *are* the
-product), the service metrics (``repro/service/server.py``), the
+layer (``repro/obs/`` — span timestamps *are* the product), the
 retry/backoff helper (``repro/store/retry.py``) and the benchmark harness.
 Anything else — including test code — needs an inline tag with a reason (the
 SQLite store's LRU ``last_used`` stamps are the canonical tagged example).
@@ -59,12 +58,11 @@ class DeterminismChecker(Checker):
     id = "determinism"
     description = (
         "no unseeded randomness (random.*, legacy np.random.*) and no "
-        "wall-clock reads outside the benchmark/metrics/retry allowlist"
+        "wall-clock reads outside the benchmark/obs/retry allowlist"
     )
     skip_substrings = (
         "repro/utils/rng.py",  # the one sanctioned RNG constructor site
-        "repro/obs/",  # span timestamps and latency histograms are the product
-        "repro/service/server.py",  # request latency metrics, uptime
+        "repro/obs/",  # span timestamps are the product
         "repro/store/retry.py",  # backoff sleeps between attempts
         "benchmarks/",  # timing is the product here
     )

@@ -10,8 +10,8 @@
 * ``bare-except`` — ``except:`` catches ``SystemExit``/``KeyboardInterrupt``
   and hides typos.  Catch something named.
 * ``swallowed-exception`` — ``except Exception:`` whose body neither
-  re-raises nor logs/records the error.  The store retry path re-raises,
-  the HTTP server logs; silent ``pass`` bodies need a tag saying why losing
+  re-raises nor logs/records the error.  The store retry path re-raises;
+  silent ``pass`` bodies need a tag saying why losing
   the error is correct (the opportunistic schema write-back is the
   canonical tagged example).
 """

@@ -9,12 +9,9 @@ inside ``*_locked`` helpers) anywhere outside ``__init__`` — and then flags
 * any call of a ``*_locked`` helper from outside a lock context.
 
 A *lock context* is the body of a ``with self.<lock>:`` statement, the body
-of a ``with self.<lock>.<scope>(...):`` statement (the keyed-lock idiom —
-:class:`repro.service.locks.KeyedLocks` hands out per-key/store scopes via
-``.key()``/``.keys()``/``.store()`` context managers), the body of a method
-whose name ends in ``_locked`` (the project convention for helpers that
-document "caller holds the lock"), or ``__init__``/``__del__`` (no
-concurrent aliases exist yet/any more).  Mutation means assignment,
+of a method whose name ends in ``_locked`` (the project convention for
+helpers that document "caller holds the lock"), or ``__init__``/``__del__``
+(no concurrent aliases exist yet/any more).  Mutation means assignment,
 augmented assignment, deletion, subscript stores (``self.d[k] = v``) and
 calls of well-known mutator methods (``self.d.pop(...)``, ``.clear()``,
 ``.append(...)``, ...).
@@ -22,8 +19,7 @@ calls of well-known mutator methods (``self.d.pop(...)``, ``.clear()``,
 Inference-from-mutation keeps the checker quiet on attributes that merely
 *happen* to be read under the lock (an immutable config object, a store
 handle) while catching the race class that matters: state the class itself
-updates under its lock and then touches unprotected elsewhere — exactly the
-heisenbug the ROADMAP's per-key-locking work would otherwise invite.
+updates under its lock and then touches unprotected elsewhere.
 """
 
 from __future__ import annotations
@@ -36,10 +32,9 @@ from repro.devtools.findings import Finding
 
 __all__ = ["LockDisciplineChecker"]
 
-#: Constructor names that create a lock object (KeyedLocks is the project's
-#: striped per-key lock manager, entered via .key()/.keys()/.store()).
+#: Constructor names that create a lock object.
 _LOCK_FACTORIES = frozenset(
-    {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore", "KeyedLocks"}
+    {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
 )
 
 #: Method calls that mutate their receiver in place.
@@ -96,18 +91,10 @@ class _MethodScanner(ast.NodeVisitor):
         self._write_nodes: set[int] = set()
 
     # -- lock context tracking ----------------------------------------- #
-    def _holds_lock(self, context_expr: ast.expr) -> bool:
-        """``with self.<lock>:`` or ``with self.<lock>.<scope>(...):``."""
-        if self_attr(context_expr) in self._lock_attrs:
-            return True
-        if isinstance(context_expr, ast.Call) and isinstance(
-            context_expr.func, ast.Attribute
-        ):
-            return self_attr(context_expr.func.value) in self._lock_attrs
-        return False
-
     def visit_With(self, node: ast.With) -> None:
-        holds = any(self._holds_lock(item.context_expr) for item in node.items)
+        holds = any(
+            self_attr(item.context_expr) in self._lock_attrs for item in node.items
+        )
         for item in node.items:
             self.visit(item.context_expr)
             if item.optional_vars is not None:

@@ -9,11 +9,10 @@ scheduler, workload shape, strategy, budget, metric and seed — so warm sweeps
 
 *Where* entries live is delegated to :mod:`repro.store`: the historical
 directory-of-JSON-files format (:class:`~repro.store.jsondir.JsonDirStore`,
-still the default for plain paths), a shared single-file SQLite database
-(``sqlite:///path.db``) or a served fleet store over HTTP
-(``http://host:8787``, a running ``mas-attention serve``), selected by URI —
-see :mod:`repro.store.uri`.  This module owns what is stored: the
-``TuningResult <-> JSON`` codec and the cache key.
+still the default for plain paths) or a shared single-file SQLite database
+(``sqlite:///path.db``), selected by URI — see :mod:`repro.store.uri`.
+This module owns what is stored: the ``TuningResult <-> JSON`` codec and
+the cache key.
 
 Two schema versions exist, deliberately decoupled:
 
@@ -34,7 +33,6 @@ from typing import Any
 from repro.core.tiling import TilingConfig
 from repro.hardware.config import HardwareConfig
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import global_registry
 from repro.search.autotuner import TuningResult
 from repro.search.history import SearchHistory, SearchRecord
 from repro.search.objective import TilingEvaluation, analytic_prune_enabled
@@ -262,7 +260,6 @@ class ResultCache:
                     self.hits += 1
                     outcome = "hit"
             span.set(status=outcome)
-        self._lookup_counter().labels(status=outcome).inc()
         return result
 
     def store(self, key: str, result: TuningResult, suite: str | None = None) -> Any:
@@ -277,20 +274,7 @@ class ResultCache:
             return None
         payload = make_payload(key, tuning_result_to_dict(result), suite=suite)
         with obs_trace.span("store.put", layer="store", backend=self.backend.backend):
-            token = self.backend.put(key, payload)
-        global_registry().counter(
-            "cache_puts", "Tuning results written to the persistent cache."
-        ).inc()
-        return token
-
-    @staticmethod
-    def _lookup_counter():
-        """Per-process lookup counter, fetched at use time (fork safety)."""
-        return global_registry().counter(
-            "cache_lookups",
-            "Persistent-cache lookups, by outcome.",
-            labels=("status",),
-        )
+            return self.backend.put(key, payload)
 
     def stats(self) -> dict[str, int]:
         """This process's lookup counters (hits / misses / stale)."""

@@ -7,9 +7,8 @@ the individual harnesses only reshape the results into their table/figure
 form.  On top of that this module adds:
 
 * a persistent result store (``cache_uri`` / ``$MAS_CACHE_URI``; JSON
-  directory, shared SQLite or a store service, see
-  :mod:`repro.store`) so repeated sweeps across process starts skip the
-  tiling search entirely;
+  directory or shared SQLite file, see :mod:`repro.store`) so repeated
+  sweeps across process starts skip the tiling search entirely;
 * :class:`ParallelRunner`, a drop-in subclass that fans the matrix out over a
   :class:`~concurrent.futures.ProcessPoolExecutor`.  Per-pair seeds are
   derived deterministically (:func:`~repro.exec.pairs.pair_seed`), so parallel
@@ -25,8 +24,6 @@ once ``jobs`` already keeps every core busy).
 
 from __future__ import annotations
 
-import http.client
-import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -37,13 +34,7 @@ from repro.hardware.config import HardwareConfig
 from repro.hardware.presets import simulated_edge_device
 from repro.schedulers.registry import get_scheduler, list_schedulers
 from repro.search.objective import Metric
-from repro.store import (
-    HttpStore,
-    MAS_CACHE_URI_ENV,
-    ShardedStore,
-    TransientServiceError,
-    open_store,
-)
+from repro.store import MAS_CACHE_URI_ENV, open_store
 from repro.utils import env
 from repro.utils.validation import check_positive_int
 from repro.workloads.attention import AttentionWorkload
@@ -87,14 +78,13 @@ class ExperimentRunner:
     metric:
         Tuning objective (``"cycles"``, ``"energy"`` or ``"edp"``).
     cache_uri:
-        Result-store URI — ``dir:/path``, ``sqlite:///path.db`` or
-        ``http://host:8787`` (a running ``mas-attention serve``), optionally
+        Result-store URI — ``dir:/path`` or ``sqlite:///path.db``, optionally
         with ``?max_entries=``/``?max_bytes=`` eviction caps (see
         :mod:`repro.store.uri`).  ``None`` defers to ``$MAS_CACHE_URI``,
         and with that unset too results stay in-memory only.  Every worker
         process carries its own store counters back to the parent through
-        :attr:`MethodRun.store_stats`, HTTP-backed sweeps included, so
-        :meth:`cache_stats` accounting is backend-independent.
+        :attr:`MethodRun.store_stats`, so :meth:`cache_stats` accounting is
+        backend-independent.
     use_cache:
         Off switch for the persistent cache even when a target is set.
     search_workers:
@@ -107,10 +97,6 @@ class ExperimentRunner:
         (``"table1-batched"``, ``"table1@batch=8"``,
         ``"long-context@seq<=8192"``, ...) or ``None`` for the Table-1 default
         — which is exactly the historical behaviour, entry for entry.
-    verbose:
-        When true, the eager store health probe reports what it learned
-        (service version, uptime, pid — or the reachable shard count of a
-        fleet) on stderr instead of discarding the payload.
     """
 
     hardware: HardwareConfig = field(default_factory=simulated_edge_device)
@@ -123,7 +109,6 @@ class ExperimentRunner:
     use_cache: bool = True
     search_workers: int = 1
     suite: str | WorkloadSuite | None = None
-    verbose: bool = False
     _runs: dict[tuple[str, str], MethodRun] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -135,61 +120,14 @@ class ExperimentRunner:
             )
         # Fail fast on a malformed store URI (explicit or $MAS_CACHE_URI):
         # opening a store is lazy/cheap and raises on bad schemes or policies.
-        # An HTTP store is additionally pinged, so an unreachable/mistyped
-        # service address fails the run here with one clear error instead of
-        # surfacing as a retry-exhausted failure inside every pool worker.
         # With the cache switched off no store will ever be opened, so a
         # broken URI must not block the run either (--no-cache is the escape
         # hatch from exactly that kind of misconfiguration).
         if self.use_cache:
             probe = open_store(self.cache_target)
             if probe is not None:
-                try:
-                    # A sharded fleet pings too, but its ping() only raises
-                    # when *every* endpoint is dark — a partially-degraded
-                    # fleet still serves (failover covers the rest).
-                    if isinstance(probe, (HttpStore, ShardedStore)):
-                        try:
-                            self._report_ping(probe.ping())
-                        # Everything a failed health probe can surface: the
-                        # transient classifier's re-raises after exhausted
-                        # retries (5xx, connection errors, a non-HTTP
-                        # endpoint's BadStatusLine) plus ValueError for an
-                        # HTTP server that is not a store service at all
-                        # (unexpected status, non-JSON body — JSONDecodeError
-                        # is a ValueError).
-                        except (
-                            TransientServiceError,
-                            http.client.HTTPException,
-                            OSError,
-                            ValueError,
-                        ) as exc:
-                            raise ValueError(
-                                f"result-store service unreachable at "
-                                f"{probe.uri()}: {exc} (is 'mas-attention "
-                                "serve' running? --no-cache bypasses it)"
-                            ) from exc
-                finally:
-                    probe.close()
+                probe.close()
         self._workload_suite = get_suite(self.suite if self.suite is not None else "table1")
-
-    def _report_ping(self, payload: dict) -> None:
-        """Summarize the eager health probe on stderr (``verbose`` only)."""
-        if not self.verbose:
-            return
-        if "reachable" in payload:  # sharded fleet: per-endpoint docs nested
-            line = (
-                f"store fleet reachable: {payload['reachable']}/"
-                f"{len(payload.get('shards', {}))} endpoints "
-                f"(replicas={payload.get('replicas')})"
-            )
-        else:
-            line = (
-                f"store service up: version={payload.get('version', '?')} "
-                f"uptime={payload.get('uptime_seconds', '?')}s "
-                f"pid={payload.get('pid', '?')}"
-            )
-        print(f"[mas-attention] {line}", file=sys.stderr)
 
     @property
     def workload_suite(self) -> WorkloadSuite:

@@ -1,30 +1,19 @@
-"""Unified observability layer: span tracing, metrics, exporters.
+"""Unified observability layer: span tracing, exporters, the perf trajectory.
 
 The pieces, one import point:
 
-* :mod:`repro.obs.trace` — cross-process/cross-wire span tracing of the
-  sweep → pair → search-generation → store-op → HTTP-request path,
-  enabled by ``MAS_TRACE=<path>`` (JSONL output);
-* :mod:`repro.obs.metrics` — counters, gauges and latency histograms with
-  p50/p95/p99, shared by the store service, the shard fleet, the retry
-  layer and the result cache;
-* :mod:`repro.obs.prom` / :mod:`repro.obs.export` — Prometheus text
-  exposition and Chrome trace-event conversion;
+* :mod:`repro.obs.trace` — cross-process span tracing of the
+  sweep → pair → search-generation → store-op path, enabled by
+  ``MAS_TRACE=<path>`` (JSONL output);
+* :mod:`repro.obs.export` — Chrome trace-event conversion;
 * :mod:`repro.obs.bench` — the perf-trajectory history and regression
   gate behind ``mas-attention obs bench record|compare|check``.
 
-``mas-attention obs summarize|convert|validate|metrics|bench`` is the CLI
-surface; ``docs/observability.md`` is the guide.
+``mas-attention obs summarize|convert|validate|bench`` is the CLI surface;
+``docs/observability.md`` is the guide.
 """
 
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS_MS,
-    MetricFamily,
-    MetricsRegistry,
-    global_registry,
-)
 from repro.obs.trace import (
-    TRACE_HEADER,
     Span,
     TraceContext,
     Tracer,
@@ -38,11 +27,7 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS_MS",
-    "MetricFamily",
-    "MetricsRegistry",
     "Span",
-    "TRACE_HEADER",
     "TraceContext",
     "Tracer",
     "attach_context",
@@ -50,7 +35,6 @@ __all__ = [
     "current_context",
     "flush",
     "get_tracer",
-    "global_registry",
     "reset",
     "span",
 ]

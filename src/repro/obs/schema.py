@@ -5,7 +5,7 @@ checks every line of the JSONL file against :data:`TRACE_SPAN_SCHEMA` plus
 two referential invariants a per-record schema cannot express:
 
 * every non-null ``parent_id`` resolves to a span present in the file
-  (spans must be flushed across process and HTTP boundaries, not lost);
+  (spans must be flushed across process boundaries, not lost);
 * a child's ``trace_id`` matches its parent's (propagation never forks a
   new trace mid-tree).
 

@@ -1,19 +1,16 @@
-"""Cross-process span tracing for the sweep → search → store → service path.
+"""Cross-process span tracing for the sweep → search → store path.
 
 Tracing answers "where did this 40-second sweep go?": every instrumented
 operation records a *span* — name, layer, wall-clock start, duration, and a
 ``trace_id``/``span_id``/``parent_id`` triple that stitches spans into trees
-across three kinds of boundary:
+across two kinds of boundary:
 
 * **threads** — each thread keeps a span stack, so nested ``span()`` blocks
   parent automatically;
 * **process pools** — a picklable :class:`TraceContext` rides inside
   ``PairSpec`` / evaluator initargs, and workers either pass it as an
   explicit ``parent`` or install it as the process-ambient parent via
-  :func:`attach_context`;
-* **the wire** — ``HttpStore`` sends the active context as the
-  ``X-MAS-Trace`` header and ``StoreService`` adopts it as the parent of
-  its ``service.request`` spans.
+  :func:`attach_context`.
 
 Spans are appended to a JSONL file (one JSON object per line, written with a
 single ``write()`` so concurrent processes interleave whole lines, never
@@ -43,7 +40,6 @@ from typing import Any, Iterator
 from repro.utils import env
 
 __all__ = [
-    "TRACE_HEADER",
     "Span",
     "TraceContext",
     "Tracer",
@@ -55,9 +51,6 @@ __all__ = [
     "reset",
     "span",
 ]
-
-#: HTTP header carrying ``"<trace_id>-<span_id>"`` from client to service.
-TRACE_HEADER = "X-MAS-Trace"
 
 _TRACE_ID_BYTES = 8  # 16 hex chars
 _SPAN_ID_BYTES = 4  # 8 hex chars
@@ -71,27 +64,10 @@ def _new_id(nbytes: int) -> str:
 
 @dataclass(frozen=True)
 class TraceContext:
-    """The picklable, wire-able identity of one span: ``(trace_id, span_id)``."""
+    """The picklable identity of one span: ``(trace_id, span_id)``."""
 
     trace_id: str
     span_id: str
-
-    def to_header(self) -> str:
-        return f"{self.trace_id}-{self.span_id}"
-
-    @classmethod
-    def from_header(cls, value: str | None) -> "TraceContext | None":
-        """Parse an ``X-MAS-Trace`` value; ``None`` for missing/malformed input."""
-        if not value:
-            return None
-        trace_id, sep, span_id = value.strip().partition("-")
-        if not sep or len(trace_id) != 2 * _TRACE_ID_BYTES or len(span_id) != 2 * _SPAN_ID_BYTES:
-            return None
-        try:
-            int(trace_id, 16), int(span_id, 16)
-        except ValueError:
-            return None
-        return cls(trace_id=trace_id, span_id=span_id)
 
 
 class Span:
@@ -110,7 +86,7 @@ class Span:
         self._start_pc = time.perf_counter()
 
     def set(self, **attrs: Any) -> None:
-        """Attach attributes discovered mid-span (HTTP status, hit/miss, ...)."""
+        """Attach attributes discovered mid-span (hit/miss, counts, ...)."""
         self.attrs.update(attrs)
 
 

@@ -1,4 +1,4 @@
-"""Pluggable result-store subsystem: where tuning results live at scale.
+"""Pluggable result-store subsystem: where tuning results live on disk.
 
 The execution layer's persistent cache (:mod:`repro.exec.cache`) used to be
 welded to one directory-of-JSON-files format; this package turns the storage
@@ -15,26 +15,17 @@ side into a swappable backend behind one interface:
   by all backends;
 * :mod:`repro.store.schema` — entry payload versioning plus the lossless
   v2 -> v3 upgrader;
-* :mod:`repro.store.http` — the HTTP client backend: the same contract over
-  a running ``mas-attention serve`` (:mod:`repro.service`), with connection
-  reuse, retry-with-backoff and ETag-based optimistic concurrency;
-* :mod:`repro.store.shard` — the fleet backend: consistent hashing over N
-  HTTP services with health-aware failover, best-effort replication and
-  hedged reads for hot keys (``docs/store_fleet.md``);
-* :mod:`repro.store.retry` — the shared retry/backoff helper (SQLite busy
-  handling and HTTP transient errors go through one code path);
+* :mod:`repro.store.retry` — the retry/backoff helper SQLite's busy
+  handling goes through;
 * :mod:`repro.store.migrate` — copying whole stores across backends
-  (``jsondir <-> sqlite <-> http <-> shard``) with zero entry loss;
-* :mod:`repro.store.uri` — ``dir:/path`` / ``sqlite:///path.db`` /
-  ``http://host:8787`` / ``shard:http://a:8787,http://b:8787`` URIs (plus
-  ``?max_entries=``/``?max_bytes=``/``?ttl=``/``?replicas=`` parameters) so
-  one string — ``--cache``, ``$MAS_CACHE_URI`` — selects backend, location
-  and policy.
+  (``jsondir <-> sqlite``) with zero entry loss;
+* :mod:`repro.store.uri` — ``dir:/path`` / ``sqlite:///path.db`` URIs (plus
+  ``?max_entries=``/``?max_bytes=``/``?ttl=`` parameters) so one string —
+  ``--cache``, ``$MAS_CACHE_URI`` — selects backend, location and policy.
 """
 
 from repro.store.base import EntryInfo, ResultStore, StoreStats
 from repro.store.eviction import EvictionPolicy, parse_duration, parse_size, plan_eviction
-from repro.store.http import HttpStore, StoreConflictError, TransientServiceError
 from repro.store.jsondir import JsonDirStore
 from repro.store.migrate import MigrationReport, migrate_store
 from repro.store.retry import RetryPolicy, call_with_retry
@@ -43,7 +34,6 @@ from repro.store.schema import (
     make_payload,
     normalize_payload,
 )
-from repro.store.shard import ShardedStore
 from repro.store.sqlite import SqliteStore
 from repro.store.uri import MAS_CACHE_URI_ENV, open_store
 
@@ -51,17 +41,13 @@ __all__ = [
     "ENTRY_SCHEMA_VERSION",
     "EntryInfo",
     "EvictionPolicy",
-    "HttpStore",
     "JsonDirStore",
     "MAS_CACHE_URI_ENV",
     "MigrationReport",
     "ResultStore",
     "RetryPolicy",
-    "ShardedStore",
     "SqliteStore",
-    "StoreConflictError",
     "StoreStats",
-    "TransientServiceError",
     "call_with_retry",
     "make_payload",
     "migrate_store",

@@ -187,7 +187,7 @@ class ResultStore(abc.ABC):
             # mas-lint: disable=swallowed-exception(write-back is opportunistic; read-only stores retry next lookup)
             except Exception:
                 # Persisting the upgrade is opportunistic: on a read-only
-                # store (a mounted fleet cache, a CI artifact) the converted
+                # store (a mounted shared cache, a CI artifact) the converted
                 # payload still serves this lookup; the write-back simply
                 # happens again next time, or never.
                 pass
@@ -210,18 +210,9 @@ class ResultStore(abc.ABC):
 
         The default reads the payload; backends with indexed keys (SQLite)
         override it with an existence probe so callers that only need
-        presence — LRU touches, ETag bookkeeping — skip the payload I/O.
+        presence — LRU touches, membership tests — skip the payload I/O.
         """
         return self.read(key) is not None
-
-    def read_many(self, keys: list[str]) -> dict[str, dict[str, Any] | None]:
-        """Raw payloads of ``keys`` (``None`` per missing entry).
-
-        The default loops over :meth:`read`; backends where a round trip is
-        expensive (the HTTP store) override this with one batched request —
-        :func:`repro.store.migrate.migrate_store` reads through it.
-        """
-        return {key: self.read(key) for key in keys}
 
     def put_many(self, entries: dict[str, dict[str, Any]]) -> list[str]:
         """Store several payloads, then enforce the eviction policy once.
@@ -229,8 +220,8 @@ class ResultStore(abc.ABC):
         Semantically a sequence of :meth:`put` calls, except that a bounded
         policy is enforced after the whole batch instead of after every
         entry — the final state satisfies the caps either way, and batch
-        writers (migration, the HTTP store's batch endpoint) skip the
-        per-entry eviction scans.  Returns the evicted keys.
+        writers (migration) skip the per-entry eviction scans.  Returns the
+        evicted keys.
         """
         for key, payload in entries.items():
             self.write(key, payload)

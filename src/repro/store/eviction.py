@@ -13,10 +13,9 @@ Two cap families compose:
   retire the oldest entries until both caps hold;
 * **TTL expiry** (``ttl_seconds``, URI parameter ``?ttl=``) retires any
   entry whose ``last_used`` is older than the horizon, *regardless* of the
-  size caps — a fleet store serving a long-running service ages results out
-  even when it never fills up.  TTL is enforced wherever ``plan_eviction``
-  runs: on every bounded ``put``, on explicit ``evict`` calls, and
-  server-side under the store service's eviction gate.
+  size caps — a long-lived shared store ages results out even when it never
+  fills up.  TTL is enforced wherever ``plan_eviction`` runs: on every
+  bounded ``put`` and on explicit ``evict`` calls.
 """
 
 from __future__ import annotations

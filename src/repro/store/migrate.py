@@ -4,9 +4,8 @@
 old-schema payloads on the way (:func:`repro.store.schema.normalize_payload`).
 Keys are preserved verbatim — a cache key never depends on the entry schema
 or the backend — so a sweep that was warm against the source is warm against
-the destination: this is how a PR-1-era JSON directory becomes a shared
-SQLite store — or a served fleet store, via the HTTP backend's batched
-``read_many``/``put_many`` round trips — with zero entry loss.
+the destination: this is how an early JSON directory becomes a shared
+SQLite store (and back) with zero entry loss.
 """
 
 from __future__ import annotations
@@ -18,9 +17,8 @@ from repro.store.schema import normalize_payload
 
 __all__ = ["MigrationReport", "migrate_store"]
 
-#: Entries moved per ``read_many``/``put_many`` round.  Local backends are
-#: indifferent to this; against an HTTP store it is the batch size of each
-#: network round trip, so a 10k-entry migration is ~300 requests, not ~20k.
+#: Entries written per ``put_many`` call: a bounded destination runs its
+#: eviction scan once per batch instead of once per entry.
 MIGRATE_BATCH_SIZE = 64
 
 
@@ -75,15 +73,10 @@ def migrate_store(
             report.skipped_existing += 1
         else:
             todo.append(key)
-    # Entries move in batches through read_many/put_many, so a store on
-    # either side that is actually an HTTP service pays one round trip per
-    # MIGRATE_BATCH_SIZE entries instead of two per entry.
     for start in range(0, len(todo), MIGRATE_BATCH_SIZE):
-        chunk = todo[start : start + MIGRATE_BATCH_SIZE]
-        raws = source.read_many(chunk)
         batch: dict[str, dict] = {}
-        for key in chunk:
-            payload, status = normalize_payload(raws.get(key))
+        for key in todo[start : start + MIGRATE_BATCH_SIZE]:
+            payload, status = normalize_payload(source.read(key))
             if payload is None:
                 report.skipped_stale.append(key)
                 continue

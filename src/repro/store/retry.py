@@ -1,32 +1,25 @@
 """Retry with exponential backoff: one tested code path for transient failures.
 
-Two store backends hit transient, retry-worthy errors from different worlds —
-:class:`~repro.store.sqlite.SqliteStore` writers racing a lock despite the
-busy timeout (``sqlite3.OperationalError: database is locked``) and
-:class:`~repro.store.http.HttpStore` requests bouncing off a briefly
-overloaded or restarting service (connection resets, 5xx responses).  Both
-wrap their fallible calls in :func:`call_with_retry` with a backend-specific
+:class:`~repro.store.sqlite.SqliteStore` writers can race a lock despite the
+connection's busy timeout (``sqlite3.OperationalError: database is
+locked``).  They wrap their fallible calls in :func:`call_with_retry` with a
 ``should_retry`` classifier, so the backoff schedule, the attempt accounting
-and the "re-raise the last error" semantics live — and are tested — exactly
-once.
+and the "re-raise the last error" semantics live — and are tested — once.
 
-Every backoff and every exhausted retry is also counted, per exception
-class, in the process-global metrics registry (``retry_attempts`` /
-``retry_giveups``): pairs fold the per-process deltas into their
-``store_stats`` so sweeps surface them in ``cache_stats``, and the store
-service exposes them on ``/metrics``.  :func:`retry_totals` is the cheap
-summary used for those deltas.
+Every backoff and every exhausted retry is also tallied per process
+(``retry_attempts`` / ``retry_giveups``): pairs fold the per-process deltas
+of :func:`retry_totals` into their ``store_stats`` so sweeps surface them in
+``cache_stats``.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from repro.obs.metrics import MetricFamily, global_registry
-
-__all__ = ["RetryPolicy", "call_with_retry", "retry_counters", "retry_totals"]
+__all__ = ["RetryPolicy", "call_with_retry", "retry_totals"]
 
 T = TypeVar("T")
 
@@ -38,9 +31,8 @@ class RetryPolicy:
     ``attempts`` counts every try including the first; the delay before retry
     ``n`` is ``base_delay * backoff**(n-1)``, capped at ``max_delay``.  The
     defaults retry 4 times over roughly three quarters of a second — long
-    enough to ride out a lock-holder's transaction or a service restart's
-    accept-queue hiccup, short enough that a genuinely dead dependency fails
-    a sweep promptly.
+    enough to ride out a lock-holder's transaction, short enough that a
+    genuinely stuck database fails a sweep promptly.
     """
 
     attempts: int = 5
@@ -61,40 +53,25 @@ class RetryPolicy:
         return min(self.base_delay * self.backoff ** (attempt - 1), self.max_delay)
 
 
-def retry_counters() -> tuple[MetricFamily, MetricFamily]:
-    """The ``(retry_attempts, retry_giveups)`` counter families, labelled by
-    exception class name.
+#: This process's retry tallies; only deltas are ever read, so a forked
+#: worker inheriting its parent's counts is harmless.
+_TALLY = {"retry_attempts": 0, "retry_giveups": 0}
+_TALLY_LOCK = threading.Lock()
 
-    Fetched from :func:`~repro.obs.metrics.global_registry` at call time —
-    never cached at import — so forked sweep workers count into their own
-    per-process registry.
-    """
-    registry = global_registry()
-    return (
-        registry.counter(
-            "retry_attempts",
-            "Transient store failures that triggered a backoff-and-retry.",
-            labels=("error",),
-        ),
-        registry.counter(
-            "retry_giveups",
-            "Store operations abandoned after exhausting their retry budget.",
-            labels=("error",),
-        ),
-    )
+
+def _count(name: str) -> None:
+    with _TALLY_LOCK:
+        _TALLY[name] += 1
 
 
 def retry_totals() -> dict[str, int]:
-    """This process's retry counters summed across error classes.
+    """This process's retry tallies.
 
     ``{"retry_attempts": n, "retry_giveups": m}`` — the shape pairs embed in
     ``store_stats`` and :meth:`ExperimentRunner.cache_stats` aggregates.
     """
-    attempts, giveups = retry_counters()
-    return {
-        "retry_attempts": int(sum(child.value for _, child in attempts.samples())),
-        "retry_giveups": int(sum(child.value for _, child in giveups.samples())),
-    }
+    with _TALLY_LOCK:
+        return dict(_TALLY)
 
 
 def call_with_retry(
@@ -119,10 +96,9 @@ def call_with_retry(
         except Exception as exc:
             if should_retry is not None and not should_retry(exc):
                 raise
-            attempts, giveups = retry_counters()
             if attempt == policy.attempts:
-                giveups.labels(error=type(exc).__name__).inc()
+                _count("retry_giveups")
                 raise
-            attempts.labels(error=type(exc).__name__).inc()
+            _count("retry_attempts")
             sleep(policy.delay(attempt))
     raise AssertionError("unreachable")  # pragma: no cover

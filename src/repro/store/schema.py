@@ -9,8 +9,8 @@ Two version numbers govern the result store, and they move independently:
 * the **entry schema** (:data:`ENTRY_SCHEMA_VERSION`, this module) describes
   the stored payload *layout*.  Bumping it does not invalidate any result —
   old entries are upgraded in place by :func:`normalize_payload` instead of
-  being dropped, which is what keeps fleet-shared stores durable across
-  software upgrades.
+  being dropped, which is what keeps shared stores durable across software
+  upgrades.
 
 Payload history
 ---------------

@@ -7,12 +7,12 @@ writer; writers serialize through a busy-timeout).  Compared to a directory
 of JSON files it adds
 
 * **indexed metadata** — scheduler / workload / strategy / suite columns are
-  extracted from each payload and indexed, so ``cache ls``-style queries and
-  fleet dashboards don't parse every blob;
+  extracted from each payload and indexed, so ``cache ls``-style queries
+  don't parse every blob;
 * **cheap LRU accounting** — ``last_used`` / ``size_bytes`` columns make
   eviction one ordered query instead of a directory scan;
-* **one file to share** — a single DB can be mounted, copied or served to a
-  whole fleet, which is the stepping stone to a server-backed store.
+* **one file to share** — a single DB can be mounted or copied between
+  hosts.
 
 Every worker process opens its own connection (connections are created from
 the store URI inside the worker, never pickled).
@@ -116,8 +116,7 @@ class SqliteStore(ResultStore):
         self.path = Path(path).expanduser()
         #: Backoff schedule for writes that still hit SQLITE_BUSY after the
         #: connection's busy timeout — e.g. a writer starved by a long
-        #: transaction.  Shares :func:`repro.store.retry.call_with_retry`
-        #: with the HTTP backend's transient-error handling.
+        #: transaction, through :func:`repro.store.retry.call_with_retry`.
         self.retry = retry or RetryPolicy()
         self._conn: sqlite3.Connection | None = None
 
@@ -152,7 +151,7 @@ class SqliteStore(ResultStore):
                         ("db_format", str(DB_FORMAT_VERSION)),
                     )
             except sqlite3.DatabaseError:
-                # Read-only database (a mounted fleet cache, a CI artifact):
+                # Read-only database (a mounted shared cache, a CI artifact):
                 # serve whatever schema it already carries — lookups must
                 # work; writes will fail loudly at the call that attempts
                 # them, exactly like a read-only JSON directory.
@@ -279,8 +278,7 @@ class SqliteStore(ResultStore):
 
     def clear(self) -> int:
         # One statement instead of the base class's per-key DELETEs (each an
-        # auto-committed write): clearing a fleet-sized store stays O(1) round
-        # trips.
+        # auto-committed write): clearing a large store stays one statement.
         def run() -> sqlite3.Cursor:
             with self._connect() as conn:
                 return conn.execute("DELETE FROM entries")

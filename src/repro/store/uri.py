@@ -10,22 +10,15 @@ URI                                    Meaning
 ``jsondir:/path``                      alias of ``dir:``
 ``sqlite:///path/to/cache.db``         SQLite store (single file, WAL)
 ``sqlite:cache.db``                    SQLite store, relative path
-``http://host:8787``                   HTTP store service (a running
-                                       ``mas-attention serve``); ``https://``
-                                       works behind a TLS proxy
-``shard:http://a:8787,http://b:8787``  Sharded fleet of HTTP services
-                                       (consistent hashing, failover;
-                                       ``?replicas=2`` adds best-effort
-                                       replication — ``docs/store_fleet.md``)
 =====================================  ====================================
 
-Query parameters configure the eviction policy (``max_entries``,
-``max_bytes``, ``ttl`` age expiry) and apply to any backend; ``replicas`` is
-shard-only::
+Any other ``<scheme>://`` prefix (``http://``, ``shard:http://``, a typo)
+is rejected rather than read as a directory name.  Query parameters
+configure the eviction policy (``max_entries``, ``max_bytes``, ``ttl`` age
+expiry) and apply to either backend::
 
-    sqlite:///fleet.db?max_entries=10000&max_bytes=2GiB
-    dir:/var/cache/mas?max_entries=500
-    shard:http://a:8787,http://b:8787?replicas=2&ttl=7d
+    sqlite:///cache.db?max_entries=10000&max_bytes=2GiB
+    dir:/var/cache/mas?max_entries=500&ttl=7d
 """
 
 from __future__ import annotations
@@ -35,9 +28,7 @@ from urllib.parse import parse_qsl, urlsplit
 
 from repro.store.base import ResultStore
 from repro.store.eviction import EvictionPolicy
-from repro.store.http import HttpStore
 from repro.store.jsondir import JsonDirStore
-from repro.store.shard import ShardedStore
 from repro.store.sqlite import SqliteStore
 
 __all__ = ["MAS_CACHE_URI_ENV", "open_store"]
@@ -51,8 +42,11 @@ _BACKENDS = {
     "sqlite": SqliteStore,
 }
 
-#: Schemes served by the HTTP store client rather than a local path backend.
-_HTTP_SCHEMES = ("http", "https")
+#: The accepted forms, quoted by the error for any other scheme.
+_ACCEPTED_FORMS = (
+    "a directory path, dir:/path, jsondir:/path or sqlite:///path.db "
+    "(optionally with ?max_entries=N&max_bytes=SIZE&ttl=AGE)"
+)
 
 
 def _split(uri: str) -> tuple[str, str, dict[str, str]]:
@@ -60,6 +54,13 @@ def _split(uri: str) -> tuple[str, str, dict[str, str]]:
     parts = urlsplit(uri)
     scheme = parts.scheme.lower()
     if scheme not in _BACKENDS:
+        # A URL-shaped string with a scheme no backend serves (http://...,
+        # shard:http://..., a typo like foo://x) must fail, not become a
+        # literal 'foo:' directory.  One-letter schemes are drive letters.
+        if len(scheme) > 1 and "://" in uri:
+            raise ValueError(
+                f"unsupported store URI {uri!r}; accepted forms: {_ACCEPTED_FORMS}"
+            )
         # No recognized scheme: the string is a plain directory path.
         # (Windows drive letters and scheme-less relative paths land here.)
         # A ``?key=value`` suffix still configures the eviction policy — a
@@ -90,9 +91,10 @@ def _split(uri: str) -> tuple[str, str, dict[str, str]]:
 def open_store(target: str | Path | None) -> ResultStore | None:
     """Open the result store a URI (or plain directory path) describes.
 
-    ``None`` and empty strings return ``None`` (no store).  Unknown query
-    parameters and malformed policies raise ``ValueError`` eagerly, so a
-    mistyped cap fails the run instead of silently not evicting.
+    ``None`` and empty strings return ``None`` (no store).  Unsupported
+    schemes, unknown query parameters and malformed policies raise
+    ``ValueError`` eagerly, so a mistyped URI or cap fails the run instead of
+    silently writing somewhere else or not evicting.
     """
     if target is None:
         return None
@@ -101,48 +103,7 @@ def open_store(target: str | Path | None) -> ResultStore | None:
     uri = target.strip()
     if not uri:
         return None
-    parts = urlsplit(uri)
-    if parts.scheme.lower() == "shard":
-        return _open_shard(uri)
-    if parts.scheme.lower() in _HTTP_SCHEMES:
-        # A network store: host+port (and optional path prefix) identify a
-        # running ``mas-attention serve``; query params still set the policy.
-        if not parts.netloc:
-            raise ValueError(f"store URI {uri!r} is missing a host")
-        policy = EvictionPolicy.from_query(dict(parse_qsl(parts.query)))
-        base = f"{parts.scheme.lower()}://{parts.netloc}{parts.path.rstrip('/')}"
-        return HttpStore(base, policy=policy)
     scheme, path, params = _split(uri)
     policy = EvictionPolicy.from_query(params)
     return _BACKENDS[scheme](Path(path).expanduser(), policy=policy)
 
-
-def _open_shard(uri: str) -> ShardedStore:
-    """``shard:http://a:8787,http://b:8787?replicas=2&...`` -> ShardedStore.
-
-    Everything after ``shard:`` up to the ``?`` is a comma-separated list of
-    plain ``http(s)://host:port[/prefix]`` endpoints (no per-endpoint query);
-    the query applies fleet-wide: ``replicas`` plus the usual policy caps.
-    """
-    spec, _, query = uri[len("shard:") :].partition("?")
-    params = dict(parse_qsl(query))
-    replicas = 1
-    if "replicas" in params:
-        replicas = int(params.pop("replicas"))
-    policy = EvictionPolicy.from_query(params)
-    endpoints = [endpoint.strip() for endpoint in spec.split(",") if endpoint.strip()]
-    if not endpoints:
-        raise ValueError(f"shard URI {uri!r} lists no endpoints")
-    for endpoint in endpoints:
-        ep = urlsplit(endpoint)
-        if ep.scheme.lower() not in _HTTP_SCHEMES or not ep.netloc:
-            raise ValueError(
-                f"shard endpoint {endpoint!r} in {uri!r} is not an "
-                "http(s)://host[:port] URL"
-            )
-        if ep.query or ep.fragment:
-            raise ValueError(
-                f"shard endpoint {endpoint!r} must not carry a query/fragment; "
-                "put fleet-wide parameters after the endpoint list"
-            )
-    return ShardedStore(endpoints, policy=policy, replicas=replicas)

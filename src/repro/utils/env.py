@@ -126,10 +126,9 @@ register(
     "MAS_CACHE_URI",
     None,
     "Default result-store URI for every runner and `cache` subcommand: "
-    "`dir:/path`, `sqlite:///path.db`, `http://host:8787` or "
-    "`shard:http://a:8787,http://b:8787`, optionally with "
-    "`?max_entries=/?max_bytes=/?ttl=` eviction caps (and `?replicas=` on "
-    "shard fleets). Explicit `--cache` flags win.",
+    "`dir:/path` or `sqlite:///path.db`, optionally with "
+    "`?max_entries=/?max_bytes=/?ttl=` eviction caps. Explicit `--cache` "
+    "flags win.",
 )
 register(
     "MAS_SUITES_FILE",
@@ -141,7 +140,7 @@ register(
     "MAS_TRACE",
     None,
     "Span-trace output path (JSONL, appended). When set, every sweep, "
-    "search generation, store operation and HTTP request records a span; "
+    "search generation and store operation records a span; "
     "`mas-attention obs summarize|convert|validate` consume the file. "
     "Unset (the default) disables tracing entirely.",
 )
@@ -194,12 +193,6 @@ register(
     "already loses to the incumbent (skipping their simulation). Off by "
     "default: search results are bit-identical to the serial path only when "
     "disabled.",
-)
-register(
-    "MAS_BENCH_LOCK_THREADS",
-    "4",
-    "Concurrent client threads in the service lock-contention benchmark "
-    "(`benchmarks/bench_parallel_runner.py::test_service_lock_concurrency`).",
 )
 register(
     "MAS_BENCH_SEARCH_BUDGET",

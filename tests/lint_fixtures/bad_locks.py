@@ -27,20 +27,3 @@ class Racy:  # mas-lint: disable=fork-safety(fixture seeds lock-discipline findi
     def drain(self):
         return self._drain_locked()  # *_locked helper called without the lock
 
-
-class RacyKeyed:
-    """Same race class, keyed-lock idiom: scope contexts instead of `with lock:`."""
-
-    def __init__(self):
-        self._locks = KeyedLocks(8)
-        self._versions = {}
-
-    def bump(self, key):
-        with self._locks.key(key):
-            self._versions[key] = self._versions.get(key, 0) + 1
-
-    def peek(self, key):
-        return self._versions.get(key, 0)  # read outside any lock scope
-
-    def wipe(self):
-        self._versions.clear()  # mutator call outside the scope contexts

@@ -26,29 +26,3 @@ class Disciplined:  # mas-lint: disable=fork-safety(test fixture, never crosses 
         self._counts.clear()
         self.total = 0
 
-
-class DisciplinedKeyed:
-    """Keyed-lock idiom: every access sits inside a key/store scope context."""
-
-    def __init__(self):
-        self._locks = KeyedLocks(8)
-        self._versions = {}
-
-    def bump(self, key):
-        with self._locks.key(key):
-            self._versions[key] = self._versions.get(key, 0) + 1
-
-    def peek(self, key):
-        with self._locks.key(key):
-            return self._versions.get(key, 0)
-
-    def snapshot(self):
-        with self._locks.store():
-            return dict(self._versions)
-
-    def wipe(self):
-        with self._locks.store():
-            self._wipe_locked()
-
-    def _wipe_locked(self):
-        self._versions.clear()

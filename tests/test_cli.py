@@ -308,3 +308,50 @@ class TestCacheCli:
     def test_evict_without_caps_errors(self, warm_dir):
         with pytest.raises(SystemExit, match="nothing to enforce"):
             main(["cache", "evict", "--cache", str(warm_dir)])
+
+
+class TestStoreUriErrors:
+    """A store URI no backend accepts is one usage-error line, exit code 2,
+    and nothing written to disk — from a flag or from ``$MAS_CACHE_URI``."""
+
+    BAD_URIS = [
+        "http://cachehost:8787",
+        "shard:http://a:8787,http://b:8787",
+        "foo://x",
+        "sqlite://host/x.db",
+    ]
+
+    def _assert_usage_error(self, argv, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mas-attention: error: ") and "store URI" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("uri", BAD_URIS)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table2", "--no-search", "--networks", "ViT-B/14", "--cache"],
+            ["cache", "stats", "--cache"],
+            ["cache", "migrate", "dir:src-cache"],
+        ],
+        ids=["table2", "cache-stats", "cache-migrate"],
+    )
+    def test_flag(self, uri, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("MAS_CACHE_URI", raising=False)
+        self._assert_usage_error([*argv, uri], capsys, tmp_path)
+
+    @pytest.mark.parametrize("uri", BAD_URIS)
+    @pytest.mark.parametrize(
+        "argv",
+        [["table3", "--no-search", "--networks", "ViT-B/14"], ["cache", "ls"]],
+        ids=["table3", "cache-ls"],
+    )
+    def test_env(self, uri, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MAS_CACHE_URI", uri)
+        self._assert_usage_error(argv, capsys, tmp_path)

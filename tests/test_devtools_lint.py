@@ -35,17 +35,13 @@ def checks_of(result):
 def test_bad_locks_fixture_caught():
     result = run_lint(FIXTURES / "bad_locks.py")
     findings = [f for f in result.sorted() if f.check == "lock-discipline"]
-    assert len(findings) == 6
+    assert len(findings) == 4
     messages = "\n".join(f.message for f in findings)
     assert "read of lock-guarded attribute self._counts" in messages
     assert "write to lock-guarded attribute self._counts" in messages
     assert "write to lock-guarded attribute self.total" in messages
     assert "under-lock helper self._drain_locked()" in messages
-    # the keyed-lock idiom (scope contexts from a KeyedLocks pool) is
-    # understood the same way: accesses outside .key()/.store() are races
-    assert "read of lock-guarded attribute self._versions" in messages
-    assert "write to lock-guarded attribute self._versions" in messages
-    assert checks_of(result) == ["lock-discipline"] * 6
+    assert checks_of(result) == ["lock-discipline"] * 4
 
 
 def test_bad_determinism_fixture_caught():
@@ -153,29 +149,29 @@ def test_tests_dir_lints_clean_and_skips_fixtures():
     assert not any("lint_fixtures" in f.path for f in result.findings)
 
 
-def test_storeservice_out_of_lock_mutation_is_caught(tmp_path):
-    """Injecting an unguarded mutation into the real StoreService trips the
-    race checker — the exact regression the lock-discipline check exists for."""
-    source = (SRC_REPRO / "service" / "server.py").read_text()
-    anchor = "    def clear(self)"
+def test_tracer_out_of_lock_mutation_is_caught(tmp_path):
+    """Injecting an unguarded mutation into the real Tracer trips the race
+    checker — the exact regression the lock-discipline check exists for."""
+    source = (SRC_REPRO / "obs" / "trace.py").read_text()
+    anchor = "    def abandon(self)"
     assert anchor in source
     injected = source.replace(
         anchor,
-        "    def forget(self, key):\n"
-        "        self._versions.pop(key, None)\n"
+        "    def discard(self):\n"
+        "        self._pending.clear()\n"
         "\n" + anchor,
         1,
     )
-    target = tmp_path / "server_racy.py"
+    target = tmp_path / "trace_racy.py"
     target.write_text(injected)
     result = run_lint(target)
     races = [f for f in result.findings if f.check == "lock-discipline"]
     assert len(races) == 1
-    assert "self._versions" in races[0].message
-    assert "forget" in races[0].message
+    assert "self._pending" in races[0].message
+    assert "discard" in races[0].message
     # the pristine source stays race-free under the same checker (the copy
     # loses its path-based determinism allowlist, so compare this check only)
-    pristine = tmp_path / "server_clean.py"
+    pristine = tmp_path / "trace_clean.py"
     pristine.write_text(source)
     clean_result = run_lint(pristine)
     assert not [f for f in clean_result.findings if f.check == "lock-discipline"]
@@ -270,7 +266,7 @@ def test_env_docs_drift_is_flagged(tmp_path):
     docs = tmp_path / "env_vars.md"
     rows = env.render_markdown_table().splitlines()
     # drop one registered row (a variable no other row mentions), add a phantom
-    dropped = [r for r in rows if not r.startswith("| `MAS_BENCH_LOCK_THREADS` ")]
+    dropped = [r for r in rows if not r.startswith("| `MAS_BENCH_SEARCH_BUDGET` ")]
     dropped.append("| `MAS_" "PHANTOM` | *(unset)* | not actually registered |")
     docs.write_text("\n".join(dropped) + "\n")
     clean = tmp_path / "empty.py"
@@ -280,7 +276,7 @@ def test_env_docs_drift_is_flagged(tmp_path):
     assert len(result.findings) == 2
     assert set(messages) == {"env-docs"}
     joined = "\n".join(f.message for f in result.findings)
-    assert "MAS_BENCH_LOCK_THREADS is registered" in joined
+    assert "MAS_BENCH_SEARCH_BUDGET is registered" in joined
     assert "MAS_" "PHANTOM appears in the docs table" in joined
 
 

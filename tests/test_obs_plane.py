@@ -1,6 +1,5 @@
 """Tests for the perf-trajectory gate (:mod:`repro.obs.bench` behind
-``mas-attention obs bench``), critical-path scoping in the trace summary,
-and the terminal live view ``mas-attention obs metrics --watch``.
+``mas-attention obs bench``) and critical-path scoping in the trace summary.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from repro.obs.bench import (
     record_runs,
 )
 from repro.obs.summary import summarize_trace
-from repro.service import running_server, server_url
-from repro.store import SqliteStore
 
 
 # --------------------------------------------------------------------------- #
@@ -168,24 +165,3 @@ class TestCriticalPathScoping:
         assert "... 5 more layer(s)" in text
         assert text.count(" ms  in ") == 3
 
-
-# --------------------------------------------------------------------------- #
-# obs metrics --watch
-# --------------------------------------------------------------------------- #
-class TestMetricsWatch:
-    def test_watch_loops_until_interrupted(self, tmp_path, monkeypatch, capsys):
-        with running_server(SqliteStore(tmp_path / "a.db")) as srv:
-            url = server_url(srv)
-            calls = {"n": 0}
-
-            def fake_sleep(seconds):
-                calls["n"] += 1
-                if calls["n"] >= 2:
-                    raise KeyboardInterrupt
-                return None
-
-            monkeypatch.setattr("repro.cli.time.sleep", fake_sleep)
-            assert cli_main(["obs", "metrics", url, "--watch", "0.5"]) == 0
-        out = capsys.readouterr().out
-        assert calls["n"] == 2
-        assert out.count("uptime") >= 2  # rendered more than once

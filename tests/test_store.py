@@ -1,15 +1,17 @@
 """Tests for the pluggable result-store subsystem (:mod:`repro.store`).
 
-Covers the backend contract for all three stores (JSON directory, SQLite,
-and HTTP against a live in-process service), LRU eviction, URI parsing, the
-v2 -> v3 entry-schema upgrade, store migration (round-trip, zero entry loss,
-warm sweeps against migrated stores), and concurrent SQLite writers.
+Covers the backend contract for both stores (JSON directory and SQLite), LRU
+eviction, URI parsing, the v2 -> v3 entry-schema upgrade, store migration
+(round-trip, zero entry loss, warm sweeps against migrated stores),
+concurrent SQLite writers, and the retry-with-backoff helper SQLite's busy
+handling goes through.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sqlite3
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -17,15 +19,14 @@ import pytest
 from repro.exec import ExperimentRunner, ParallelRunner, ResultCache
 from repro.exec.cache import KEY_SCHEMA_VERSION, tuning_result_to_dict
 from repro.search.autotuner import AutoTuner
-from repro.service import running_server, server_url
 from repro.store import (
     ENTRY_SCHEMA_VERSION,
     EntryInfo,
     EvictionPolicy,
-    HttpStore,
     JsonDirStore,
-    ShardedStore,
+    RetryPolicy,
     SqliteStore,
+    call_with_retry,
     make_payload,
     migrate_store,
     normalize_payload,
@@ -34,6 +35,7 @@ from repro.store import (
     parse_size,
     plan_eviction,
 )
+from repro.store.sqlite import is_sqlite_busy
 from repro.workloads.attention import AttentionWorkload
 
 FAST_NETWORKS = ["ViT-B/14", "ViT-B/16"]
@@ -54,33 +56,15 @@ def payload_for(key: str, value: int = 0) -> dict:
     )
 
 
-@pytest.fixture
-def store_server(tmp_path):
-    """A live store service over a fresh SQLite backend (one per test)."""
-    with running_server(SqliteStore(tmp_path / "served.db")) as server:
-        yield server
-
-
-@pytest.fixture(params=["jsondir", "sqlite", "http"])
+@pytest.fixture(params=["jsondir", "sqlite"])
 def store(request, tmp_path):
-    """One instance of each backend, same contract expected of all three.
-
-    The HTTP instance talks to a real in-process service fronting a SQLite
-    store, so every contract test exercises the full client/server path.
-    """
+    """One instance of each backend, same contract expected of both."""
     if request.param == "jsondir":
         yield JsonDirStore(tmp_path / "store")
-    elif request.param == "sqlite":
+    else:
         s = SqliteStore(tmp_path / "store.db")
         yield s
         s.close()
-    else:
-        with running_server(SqliteStore(tmp_path / "served.db")) as server:
-            s = HttpStore(server_url(server))
-            try:
-                yield s
-            finally:
-                s.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -179,7 +163,7 @@ class TestStoreContract:
 
     def test_uri_roundtrips_eviction_policy(self, store):
         """uri() carries the caps, so a reopened capped store stays capped."""
-        location = getattr(store, "path", None) or getattr(store, "root", None) or store.base_url
+        location = getattr(store, "path", None) or store.root
         capped = type(store)(
             location,
             policy=EvictionPolicy(max_entries=7, max_bytes=2048),
@@ -408,51 +392,35 @@ class TestStoreUris:
         with pytest.raises(ValueError):
             open_store("dir:")
 
-    def test_http_scheme_opens_http_store(self):
-        store = open_store("http://127.0.0.1:8787")
-        assert isinstance(store, HttpStore)
-        assert store.uri() == "http://127.0.0.1:8787"
-        # policy params ride on network URIs exactly as on local ones
-        capped = open_store("http://cachehost:8787?max_entries=10&max_bytes=1KiB")
-        assert capped.policy == EvictionPolicy(max_entries=10, max_bytes=1024)
-        assert capped.uri() == "http://cachehost:8787?max_entries=10&max_bytes=1024"
-        # a path prefix (reverse proxy) is kept, trailing slashes are not
-        prefixed = open_store("https://proxy.example/mas/")
-        assert prefixed.uri() == "https://proxy.example/mas"
-
     def test_bad_http_uris_rejected(self):
-        with pytest.raises(ValueError):
-            open_store("http://")  # no host
-        with pytest.raises(ValueError):
-            open_store("http://host:8787?max_funk=1")  # typo'd cap: loud
-
-    def test_shard_scheme_opens_sharded_store(self):
-        store = open_store("shard:http://a:8787,http://b:8787")
-        assert isinstance(store, ShardedStore)
-        assert store.uri() == "shard:http://a:8787,http://b:8787"
-        full = open_store(
-            "shard:http://a:8787,http://b:8787?max_entries=10&replicas=2&ttl=7d"
-        )
-        assert full.replicas == 2
-        assert full.policy == EvictionPolicy(max_entries=10, ttl_seconds=7 * 86400)
-        # uri() round-trips through open_store to an equivalent fleet
-        again = open_store(full.uri())
-        assert again.uri() == full.uri()
-        assert again.replicas == 2 and again.policy == full.policy
+        """No backend serves http(s)://: rejected, never read as a path."""
+        for uri in (
+            "http://",
+            "http://127.0.0.1:8787",
+            "http://host:8787?max_funk=1",
+            "https://proxy.example/mas/",
+        ):
+            with pytest.raises(ValueError, match="unsupported store URI"):
+                open_store(uri)
 
     def test_bad_shard_uris_rejected(self):
-        with pytest.raises(ValueError, match="no endpoints"):
-            open_store("shard:")
-        with pytest.raises(ValueError, match="not an"):
-            open_store("shard:http://a:8787,sqlite:///x.db")
-        with pytest.raises(ValueError):
-            # the first '?' ends the endpoint list, so a mid-list query is a
-            # (bogus) fleet-wide parameter — loud either way
-            open_store("shard:http://a:8787?x=1,http://b:8787")
-        with pytest.raises(ValueError, match="query/fragment"):
-            open_store("shard:http://a:8787#frag,http://b:8787")
-        with pytest.raises(ValueError):
-            open_store("shard:http://a:8787,http://b:8787?max_funk=1")
+        for uri in (
+            "shard:http://a:8787,http://b:8787",
+            "shard:http://a:8787,http://b:8787?replicas=2",
+            "foo://x",
+        ):
+            with pytest.raises(ValueError, match="accepted forms: a directory path"):
+                open_store(uri)
+
+    def test_drive_letters_and_relative_paths_stay_directories(self):
+        for target, root in (
+            ("C:/mas/cache", "C:/mas/cache"),
+            ("cache/dir", "cache/dir"),
+            ("name:with-colon", "name:with-colon"),
+        ):
+            store = open_store(target)
+            assert isinstance(store, JsonDirStore)
+            assert str(store.root) == root
 
 
 # ---------------------------------------------------------------------- #
@@ -587,6 +555,29 @@ class TestSweepBitIdentity:
             stats = warm.cache_stats()
             assert stats["searches"] == 0 and stats["cache_misses"] == 0
 
+    def test_local_backends_and_no_cache_agree_at_jobs_1_and_4(self, tmp_path):
+        kwargs = dict(search_budget=BUDGET, seed=0)
+        reference = _matrix_fingerprint(
+            ParallelRunner(**kwargs, jobs=1, use_cache=False).run_matrix(
+                FAST_NETWORKS, FAST_METHODS
+            )
+        )
+        uris = [f"dir:{tmp_path}/jsondir", f"sqlite:///{tmp_path}/local.db"]
+        for jobs in (1, 4):
+            nocache = ParallelRunner(**kwargs, jobs=jobs, use_cache=False)
+            assert (
+                _matrix_fingerprint(nocache.run_matrix(FAST_NETWORKS, FAST_METHODS))
+                == reference
+            )
+            for uri in uris:
+                # jobs=1 runs cold (first sight of each store), jobs=4 warm —
+                # both must be bit-identical to the uncached serial sweep.
+                runner = ParallelRunner(**kwargs, jobs=jobs, cache_uri=uri)
+                assert (
+                    _matrix_fingerprint(runner.run_matrix(FAST_NETWORKS, FAST_METHODS))
+                    == reference
+                ), f"mismatch at jobs={jobs} uri={uri}"
+
     def test_parallel_worker_stats_aggregate_to_parent(self, tmp_path):
         """Worker-process cache counters surface in the parent's cache_stats."""
         kwargs = dict(search_budget=BUDGET, seed=0, cache_uri=f"sqlite:///{tmp_path}/s.db")
@@ -645,361 +636,124 @@ class TestSweepBitIdentity:
             assert store.read(key)["schema"] == ENTRY_SCHEMA_VERSION
 
 
-class TestHttpSweepBitIdentity:
-    """The acceptance matrix: http:// serves the same sweeps as local stores."""
-
-    def test_all_backends_and_no_cache_agree_at_jobs_1_and_4(
-        self, store_server, tmp_path
-    ):
-        kwargs = dict(search_budget=BUDGET, seed=0)
-        reference = _matrix_fingerprint(
-            ParallelRunner(**kwargs, jobs=1, use_cache=False).run_matrix(
-                FAST_NETWORKS, FAST_METHODS
-            )
-        )
-        uris = [
-            f"dir:{tmp_path}/jsondir",
-            f"sqlite:///{tmp_path}/local.db",
-            server_url(store_server),
-        ]
-        for jobs in (1, 4):
-            nocache = ParallelRunner(**kwargs, jobs=jobs, use_cache=False)
-            assert (
-                _matrix_fingerprint(nocache.run_matrix(FAST_NETWORKS, FAST_METHODS))
-                == reference
-            )
-            for uri in uris:
-                # jobs=1 runs cold (first sight of each store), jobs=4 warm —
-                # both must be bit-identical to the uncached serial sweep.
-                runner = ParallelRunner(**kwargs, jobs=jobs, cache_uri=uri)
-                assert (
-                    _matrix_fingerprint(runner.run_matrix(FAST_NETWORKS, FAST_METHODS))
-                    == reference
-                ), f"mismatch at jobs={jobs} uri={uri}"
-
-    def test_warm_http_sweep_reports_full_hits_across_workers(self, store_server):
-        kwargs = dict(search_budget=BUDGET, seed=0, cache_uri=server_url(store_server))
-        cold = ParallelRunner(**kwargs, jobs=2)
-        cold.run_matrix(FAST_NETWORKS, FAST_METHODS)
-        cold_stats = cold.cache_stats()
-        assert cold_stats["cache_misses"] == cold_stats["searches"] > 0
-
-        warm = ParallelRunner(**kwargs, jobs=2)
-        warm.run_matrix(FAST_NETWORKS, FAST_METHODS)
-        warm_stats = warm.cache_stats()
-        assert warm_stats["cache_hits"] == cold_stats["searches"]
-        assert warm_stats["cache_misses"] == 0 and warm_stats["searches"] == 0
-
-        # ... and the *service* saw those worker lookups too (fleet metrics).
-        metrics = store_server.service.metrics.snapshot()
-        assert metrics["hits"] >= warm_stats["cache_hits"]
-        assert metrics["misses"] >= cold_stats["cache_misses"]
-
-    def test_migration_into_and_out_of_http_store(self, store_server, tmp_path, tuning):
-        """jsondir -> http -> jsondir round trip: zero loss, batched trips."""
-        origin = JsonDirStore(tmp_path / "origin")
-        for i in range(5):
-            origin.put(
-                f"key{i}", make_payload(f"key{i}", tuning_result_to_dict(tuning))
-            )
-        served = HttpStore(server_url(store_server))
-        back = JsonDirStore(tmp_path / "back")
-        first = migrate_store(origin, served)
-        second = migrate_store(served, back)
-        assert first.migrated == second.migrated == 5
-        assert sorted(back.keys()) == sorted(origin.keys())
-        for key in origin.keys():
-            assert back.read(key) == origin.read(key)
-        served.close()
-
-    def test_unreachable_service_fails_the_runner_eagerly(self):
-        with pytest.raises(ValueError, match="unreachable"):
-            ExperimentRunner(search_budget=BUDGET, cache_uri="http://127.0.0.1:9")
-
-    def test_non_store_http_server_fails_the_runner_eagerly(self):
-        """An HTTP server that answers /healthz with 200 text/html (a random
-        web server, not a store service) gets the same clear error."""
-        import threading
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        class WebPage(BaseHTTPRequestHandler):
-            def do_GET(self):
-                data = b"<html>hello</html>"
-                self.send_response(200)
-                self.send_header("Content-Type", "text/html")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, *args):
-                pass
-
-        srv = ThreadingHTTPServer(("127.0.0.1", 0), WebPage)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with pytest.raises(ValueError, match="unreachable"):
-                ExperimentRunner(
-                    search_budget=BUDGET,
-                    cache_uri=f"http://127.0.0.1:{srv.server_address[1]}",
-                )
-        finally:
-            srv.shutdown()
-            srv.server_close()
-            thread.join(timeout=5)
-
-    def test_non_http_endpoint_fails_the_runner_eagerly(self):
-        """A port speaking something other than HTTP (BadStatusLine) must
-        produce the same clear 'unreachable' error, not a raw traceback."""
-        import socket
-        import threading
-
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen()
-        port = listener.getsockname()[1]
-        stop = threading.Event()
-
-        def garbage_server():
-            listener.settimeout(0.2)
-            while not stop.is_set():
-                try:
-                    conn, _ = listener.accept()
-                except socket.timeout:
-                    continue
-                conn.sendall(b"definitely not http\n")
-                conn.close()
-
-        thread = threading.Thread(target=garbage_server, daemon=True)
-        thread.start()
-        try:
-            with pytest.raises(ValueError, match="unreachable"):
-                ExperimentRunner(
-                    search_budget=BUDGET, cache_uri=f"http://127.0.0.1:{port}"
-                )
-        finally:
-            stop.set()
-            thread.join(timeout=5)
-            listener.close()
-
-
 # ---------------------------------------------------------------------- #
-# Sharded fleet
+# Retry with backoff (SQLite busy handling)
 # ---------------------------------------------------------------------- #
-@pytest.fixture
-def shard_fleet(tmp_path):
-    """Two live store services (one fresh SQLite backend each)."""
-    with running_server(SqliteStore(tmp_path / "shard-a.db")) as a:
-        with running_server(SqliteStore(tmp_path / "shard-b.db")) as b:
-            yield a, b
+class TestRetryHelper:
+    def test_returns_first_success_without_sleeping(self):
+        sleeps: list[float] = []
+        assert call_with_retry(lambda: 42, sleep=sleeps.append) == 42
+        assert sleeps == []
+
+    def test_backoff_schedule_and_eventual_success(self):
+        sleeps: list[float] = []
+        attempts = iter([True, True, False])  # fail, fail, succeed
+
+        def flaky():
+            if next(attempts):
+                raise TimeoutError("transient")
+            return "done"
+
+        policy = RetryPolicy(attempts=5, base_delay=0.1, backoff=2.0, max_delay=10.0)
+        assert call_with_retry(flaky, policy=policy, sleep=sleeps.append) == "done"
+        assert sleeps == [0.1, 0.2]  # exponential, one sleep per failure
+
+    def test_gives_up_after_attempts_and_reraises_last(self):
+        sleeps: list[float] = []
+
+        def always_fails():
+            raise TimeoutError("still down")
+
+        with pytest.raises(TimeoutError, match="still down"):
+            call_with_retry(
+                always_fails, policy=RetryPolicy(attempts=3, base_delay=0.01),
+                sleep=sleeps.append,
+            )
+        assert len(sleeps) == 2  # attempts-1 sleeps
+
+    def test_non_transient_errors_escape_immediately(self):
+        calls = []
+
+        def fails():
+            calls.append(1)
+            raise ValueError("permanent")
+
+        with pytest.raises(ValueError):
+            call_with_retry(
+                fails,
+                should_retry=lambda exc: isinstance(exc, TimeoutError),
+                sleep=lambda s: None,
+            )
+        assert len(calls) == 1
+
+    def test_delay_caps_at_max(self):
+        policy = RetryPolicy(attempts=10, base_delay=1.0, backoff=10.0, max_delay=3.0)
+        assert policy.delay(1) == 1.0
+        assert policy.delay(2) == 3.0  # 10.0 capped
+        assert policy.delay(5) == 3.0
+
+    def test_bad_policies_rejected(self):
+        with pytest.raises(ValueError):
+            RetryPolicy(attempts=0)
+        with pytest.raises(ValueError):
+            RetryPolicy(backoff=0.5)
+        with pytest.raises(ValueError):
+            RetryPolicy(base_delay=-1)
 
 
-def _kill(server) -> None:
-    """Take one shard dark mid-test (fixture teardown stays idempotent)."""
-    server.shutdown()
-    server.server_close()
+class _FlakyConnection:
+    """Wraps a sqlite connection; the first ``failures`` statements raise BUSY."""
+
+    def __init__(self, real: sqlite3.Connection, failures: int) -> None:
+        self._real = real
+        self.failures = failures
+        self.attempts = 0
+
+    def execute(self, *args, **kwargs):
+        self.attempts += 1
+        if self.failures > 0:
+            self.failures -= 1
+            raise sqlite3.OperationalError("database is locked")
+        return self._real.execute(*args, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return self._real.__exit__(*exc_info)
 
 
-class TestShardedStore:
-    """Functional coverage of the fleet client against live shard services."""
-
-    def _fleet(self, servers, **kwargs) -> ShardedStore:
-        return ShardedStore([server_url(s) for s in servers], **kwargs)
-
-    def test_keys_spread_without_replication(self, shard_fleet):
-        fleet = self._fleet(shard_fleet)
-        keys = [f"k{i}" for i in range(16)]
-        for i, key in enumerate(keys):
-            fleet.put(key, payload_for(key, i))
-        assert sorted(fleet.keys()) == sorted(keys)
-        per_shard = []
-        for server in shard_fleet:
-            child = HttpStore(server_url(server))
-            per_shard.append(len(child.keys()))
-            child.close()
-        assert sum(per_shard) == len(keys)  # replicas=1: no duplication
-        assert fleet.stats().entries == len(keys)
-        fleet.close()
-
-    def test_replication_writes_to_every_owner(self, shard_fleet):
-        fleet = self._fleet(shard_fleet, replicas=2)
-        keys = [f"r{i}" for i in range(8)]
-        for i, key in enumerate(keys):
-            fleet.put(key, payload_for(key, i))
-        for server in shard_fleet:
-            child = HttpStore(server_url(server))
-            assert sorted(child.keys()) == sorted(keys)
-            child.close()
-        # the union view deduplicates: 8 entries, not 16
-        assert fleet.stats().entries == len(keys)
-        fleet.close()
-
-    def test_failover_after_shard_death_with_replication(self, shard_fleet):
-        a, b = shard_fleet
-        writer = self._fleet(shard_fleet, replicas=2)
-        keys = [f"f{i}" for i in range(12)]
-        for i, key in enumerate(keys):
-            writer.put(key, payload_for(key, i))
-        b_index = writer.endpoints.index(server_url(b))
-        # at least one key's *primary* owner is the shard about to die
-        primary_on_b = next(k for k in keys if writer._owners(k)[0] == b_index)
-        writer.close()
-        _kill(b)
-        # a fresh client (a new sweep host joining after the shard died —
-        # the writer's old keep-alive sockets would mask the death in-test)
-        fleet = self._fleet(shard_fleet, replicas=2)
-        for key in keys:
-            payload, status = fleet.lookup(key)
-            assert status == "hit" and payload is not None, key
-        stats = fleet.fleet_stats()
-        assert stats["failovers"] >= 1, primary_on_b
-        assert stats["endpoints"][server_url(b)] == "down"
-        assert stats["endpoints"][server_url(a)] == "up"
-        # writes keep landing on the surviving replica and serve back
-        fleet.put("late", payload_for("late"))
-        assert fleet.lookup("late")[1] == "hit"
-        fleet.close()
-
-    def test_degrades_to_miss_without_replication(self, shard_fleet):
-        a, b = shard_fleet
-        writer = self._fleet(shard_fleet)
-        keys = [f"d{i}" for i in range(16)]
-        for i, key in enumerate(keys):
-            writer.put(key, payload_for(key, i))
-        writer.close()
-        survivor = HttpStore(server_url(a))
-        a_keys = set(survivor.keys())
-        survivor.close()
-        _kill(b)
-        fleet = self._fleet(shard_fleet)  # fresh client, see failover test
-        for key in keys:
-            payload, status = fleet.lookup(key)
-            if key in a_keys:
-                assert status == "hit" and payload is not None
-            else:  # owned only by the dead shard: a miss, not an exception
-                assert status == "miss" and payload is None
-        assert fleet.fleet_stats()["degraded_misses"] == len(keys) - len(a_keys)
-        got = fleet.read_many(keys)
-        assert all(got[k] is not None for k in a_keys)
-        assert all(got[k] is None for k in set(keys) - a_keys)
-        fleet.close()
-
-    def test_read_many_put_many_fan_out(self, shard_fleet):
-        fleet = self._fleet(shard_fleet, replicas=2)
-        entries = {f"b{i}": payload_for(f"b{i}", i) for i in range(10)}
-        fleet.put_many(entries)
-        got = fleet.read_many(list(entries) + ["missing"])
-        assert got["missing"] is None
-        for key, payload in entries.items():
-            assert got[key] == payload
-        fleet.close()
-
-    def test_hedged_reads_for_hot_keys(self, shard_fleet):
-        fleet = self._fleet(shard_fleet, replicas=2)
-        fleet.put("hot", payload_for("hot"))
-        for _ in range(6):
-            assert fleet.lookup("hot")[1] == "hit"
-        assert fleet.fleet_stats()["hedged_lookups"] > 0
-        fleet.close()
-
-    def test_pickle_roundtrip_resets_health(self, shard_fleet):
-        import pickle
-
-        fleet = self._fleet(shard_fleet, replicas=2)
-        fleet.put("p", payload_for("p"))
-        clone = pickle.loads(pickle.dumps(fleet))
-        assert clone.uri() == fleet.uri()
-        assert clone.lookup("p")[1] == "hit"
-        clone.close()
-        fleet.close()
-
-    def test_migration_into_and_out_of_a_fleet(self, shard_fleet, tmp_path, tuning):
-        origin = JsonDirStore(tmp_path / "origin")
-        for i in range(6):
-            origin.put(f"key{i}", make_payload(f"key{i}", tuning_result_to_dict(tuning)))
-        fleet = self._fleet(shard_fleet, replicas=2)
-        back = JsonDirStore(tmp_path / "back")
-        first = migrate_store(origin, fleet)
-        second = migrate_store(fleet, back)
-        assert first.migrated == second.migrated == 6
-        for key in origin.keys():
-            assert back.read(key) == origin.read(key)
-        fleet.close()
-
-
-class TestShardSweepBitIdentity:
-    """The fleet acceptance matrix: ``shard:`` serves the same sweeps as one
-    store — at any jobs level, and across a shard dying between sweeps."""
-
-    def _shard_uri(self, servers, replicas: int) -> str:
-        spec = ",".join(server_url(s) for s in servers)
-        return f"shard:{spec}?replicas={replicas}" if replicas > 1 else f"shard:{spec}"
-
-    def test_shard_sweeps_match_single_store_at_jobs_1_and_4(
-        self, shard_fleet, tmp_path
-    ):
-        kwargs = dict(search_budget=BUDGET, seed=0)
-        reference = _matrix_fingerprint(
-            ExperimentRunner(
-                **kwargs, cache_uri=f"sqlite:///{tmp_path}/single.db"
-            ).run_matrix(FAST_NETWORKS, FAST_METHODS)
+class TestSqliteBusyRetry:
+    def test_busy_classifier(self):
+        assert is_sqlite_busy(sqlite3.OperationalError("database is locked"))
+        assert is_sqlite_busy(sqlite3.OperationalError("database is busy"))
+        assert not is_sqlite_busy(
+            sqlite3.OperationalError("attempt to write a readonly database")
         )
-        uri = self._shard_uri(shard_fleet, replicas=2)
-        for jobs in (1, 4):
-            runner = ParallelRunner(**kwargs, jobs=jobs, cache_uri=uri)
-            assert (
-                _matrix_fingerprint(runner.run_matrix(FAST_NETWORKS, FAST_METHODS))
-                == reference
-            ), f"mismatch at jobs={jobs}"
-        warm = ParallelRunner(**kwargs, jobs=2, cache_uri=uri)
-        assert _matrix_fingerprint(warm.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
-        stats = warm.cache_stats()
-        assert stats["searches"] == 0 and stats["cache_misses"] == 0
+        assert not is_sqlite_busy(ValueError("database is locked"))  # wrong type
 
-    def test_shard_death_fails_over_bit_identically_with_replication(
-        self, shard_fleet, tmp_path
-    ):
-        _, b = shard_fleet
-        kwargs = dict(search_budget=BUDGET, seed=0)
-        reference = _matrix_fingerprint(
-            ExperimentRunner(
-                **kwargs, cache_uri=f"sqlite:///{tmp_path}/single.db"
-            ).run_matrix(FAST_NETWORKS, FAST_METHODS)
+    def test_write_rides_out_lock_contention(self, tmp_path):
+        store = SqliteStore(
+            tmp_path / "c.db", retry=RetryPolicy(attempts=4, base_delay=0.001)
         )
-        uri = self._shard_uri(shard_fleet, replicas=2)
-        cold = ParallelRunner(**kwargs, jobs=2, cache_uri=uri)
-        assert _matrix_fingerprint(cold.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
+        flaky = _FlakyConnection(store._connect(), failures=2)
+        store._conn = flaky  # type: ignore[assignment]
+        store.write("k", payload_for("k", 7))
+        assert flaky.attempts == 3  # two BUSY failures, then success
+        store._conn = flaky._real
+        assert store.get("k")["meta"]["budget"] == 7
+        store.close()
 
-        _kill(b)  # one shard goes dark with the fleet still warm
-
-        warm = ParallelRunner(**kwargs, jobs=4, cache_uri=uri)
-        assert _matrix_fingerprint(warm.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
-        stats = warm.cache_stats()
-        # every entry lives on the surviving replica: zero recomputation
-        assert stats["searches"] == 0 and stats["cache_misses"] == 0
-
-    def test_unreplicated_shard_death_degrades_to_recompute(
-        self, shard_fleet, tmp_path
-    ):
-        _, b = shard_fleet
-        kwargs = dict(search_budget=BUDGET, seed=0)
-        reference = _matrix_fingerprint(
-            ExperimentRunner(
-                **kwargs, cache_uri=f"sqlite:///{tmp_path}/single.db"
-            ).run_matrix(FAST_NETWORKS, FAST_METHODS)
+    def test_persistent_lock_error_escapes(self, tmp_path):
+        store = SqliteStore(
+            tmp_path / "c.db", retry=RetryPolicy(attempts=2, base_delay=0.001)
         )
-        uri = self._shard_uri(shard_fleet, replicas=1)
-        cold = ParallelRunner(**kwargs, jobs=2, cache_uri=uri)
-        assert _matrix_fingerprint(cold.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
-
-        _kill(b)
-
-        # entries on the dead shard degrade to misses and are recomputed —
-        # deterministically, so the matrix stays bit-identical either way.
-        warm = ParallelRunner(**kwargs, jobs=2, cache_uri=uri)
-        assert _matrix_fingerprint(warm.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
-        stats = warm.cache_stats()
-        assert stats["cache_misses"] == stats["searches"]
+        flaky = _FlakyConnection(store._connect(), failures=99)
+        store._conn = flaky  # type: ignore[assignment]
+        with pytest.raises(sqlite3.OperationalError):
+            store.write("k", payload_for("k"))
+        store._conn = flaky._real
+        store.close()
 
 
 # ---------------------------------------------------------------------- #
