@@ -1,11 +1,14 @@
-"""Unified observability layer: span tracing, exporters, the perf trajectory.
+"""Unified observability layer: span tracing, metrics, exporters, the perf trajectory.
 
 The pieces, one import point:
 
 * :mod:`repro.obs.trace` — cross-process span tracing of the
   sweep → pair → search-generation → store-op path, enabled by
   ``MAS_TRACE=<path>`` (JSONL output);
-* :mod:`repro.obs.export` — Chrome trace-event conversion;
+* :mod:`repro.obs.metrics` — counters, gauges and latency histograms with
+  p50/p95/p99; the per-process registry counts store retries;
+* :mod:`repro.obs.prom` / :mod:`repro.obs.export` — Prometheus text
+  exposition and Chrome trace-event conversion;
 * :mod:`repro.obs.bench` — the perf-trajectory history and regression
   gate behind ``mas-attention obs bench record|compare|check``.
 
@@ -13,6 +16,12 @@ The pieces, one import point:
 ``docs/observability.md`` is the guide.
 """
 
+from repro.obs.metrics import (
+    DEFAULT_LATENCY_BUCKETS_MS,
+    MetricFamily,
+    MetricsRegistry,
+    global_registry,
+)
 from repro.obs.trace import (
     Span,
     TraceContext,
@@ -27,6 +36,9 @@ from repro.obs.trace import (
 )
 
 __all__ = [
+    "DEFAULT_LATENCY_BUCKETS_MS",
+    "MetricFamily",
+    "MetricsRegistry",
     "Span",
     "TraceContext",
     "Tracer",
@@ -35,6 +47,7 @@ __all__ = [
     "current_context",
     "flush",
     "get_tracer",
+    "global_registry",
     "reset",
     "span",
 ]

@@ -1,27 +1,20 @@
 """Process-wide metrics registry: counters, gauges and latency histograms.
 
-Before this module the repo's metrics were four unrelated dict shapes —
-``cache_stats``, ``analytic_stats``, ``fleet_stats`` and the store service's
-``ServiceMetrics`` — each with its own locking, snapshot format and (for the
-service only) a hand-rolled Prometheus renderer.  The registry gives all of
-them one vocabulary:
-
-* :class:`Counter` — monotonically increasing totals (requests, retries);
-* :class:`Gauge` — last-write-wins values (uptime, shard health);
+* :class:`Counter` — monotonically increasing totals (retries, puts);
+* :class:`Gauge` — last-write-wins values;
 * :class:`Histogram` — fixed-bucket latency distributions with estimated
   p50/p95/p99 plus exact count/sum/min/max.
 
 Instruments are grouped into a :class:`MetricFamily` (optionally labelled,
-e.g. ``requests{endpoint="POST /lookup"}``) and families live in a
+e.g. ``retry_attempts{error="OperationalError"}``) and families live in a
 :class:`MetricsRegistry` whose :meth:`~MetricsRegistry.snapshot` is
 JSON-able and whose families render to Prometheus text exposition through
 :mod:`repro.obs.prom`.
 
-Two registries matter in practice: each :class:`~repro.service.server.StoreService`
-owns one for its endpoint metrics, and :func:`global_registry` is the ambient
-per-process registry used by cross-cutting layers (store retries, result-cache
-ops) that have no natural owner object.  The global registry is keyed by PID so
-forked sweep workers start from zero instead of inheriting parent totals.
+:func:`global_registry` is the ambient per-process registry used by
+cross-cutting layers (store retries) that have no natural owner object.  It
+is keyed by PID so forked sweep workers start from zero instead of
+inheriting parent totals.
 """
 
 from __future__ import annotations
@@ -43,7 +36,7 @@ __all__ = [
 
 #: Default histogram buckets (upper bounds) for latencies recorded in
 #: milliseconds: sub-millisecond local-store hits through multi-second
-#: degraded-fleet tails.  A final implicit overflow bucket catches the rest.
+#: lock-contention tails.  A final implicit overflow bucket catches the rest.
 DEFAULT_LATENCY_BUCKETS_MS: tuple[float, ...] = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
     100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
@@ -297,7 +290,7 @@ class MetricFamily:
         return result
 
 
-class MetricsRegistry:  # mas-lint: disable=fork-safety(owners reset registries on pickle — ShardedStore.__getstate__ drops its fleet registry, the global registry is re-minted per PID, and ServiceMetrics never crosses a process boundary)
+class MetricsRegistry:  # mas-lint: disable=fork-safety(the global registry is re-minted per PID, so no registry is shared across a fork, and none is pickled)
     """An ordered collection of metric families sharing one lock.
 
     Registration is idempotent: asking for an existing name returns the

@@ -1,9 +1,7 @@
 """Prometheus text-exposition rendering for :mod:`repro.obs.metrics`.
 
-This generalizes the formatter that previously lived inside the store
-service: any :class:`~repro.obs.metrics.MetricsRegistry` renders to the
-text format under a caller-chosen namespace, following the upstream
-conventions —
+Any :class:`~repro.obs.metrics.MetricsRegistry` renders to the text format
+under a caller-chosen namespace, following the upstream conventions —
 
 * counters get a ``_total`` suffix;
 * histograms expand to cumulative ``_bucket{le="..."}`` series plus

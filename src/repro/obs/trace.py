@@ -69,6 +69,24 @@ class TraceContext:
     trace_id: str
     span_id: str
 
+    def to_header(self) -> str:
+        """The ``"<trace_id>-<span_id>"`` text form of this context."""
+        return f"{self.trace_id}-{self.span_id}"
+
+    @classmethod
+    def from_header(cls, value: str | None) -> "TraceContext | None":
+        """Parse :meth:`to_header` output; ``None`` for missing/malformed input."""
+        if not value:
+            return None
+        trace_id, sep, span_id = value.strip().partition("-")
+        if not sep or len(trace_id) != 2 * _TRACE_ID_BYTES or len(span_id) != 2 * _SPAN_ID_BYTES:
+            return None
+        try:
+            int(trace_id, 16), int(span_id, 16)
+        except ValueError:
+            return None
+        return cls(trace_id=trace_id, span_id=span_id)
+
 
 class Span:
     """A live span: carries its :class:`TraceContext` and collects attributes."""

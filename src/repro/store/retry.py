@@ -6,20 +6,21 @@ locked``).  They wrap their fallible calls in :func:`call_with_retry` with a
 ``should_retry`` classifier, so the backoff schedule, the attempt accounting
 and the "re-raise the last error" semantics live — and are tested — once.
 
-Every backoff and every exhausted retry is also tallied per process
-(``retry_attempts`` / ``retry_giveups``): pairs fold the per-process deltas
-of :func:`retry_totals` into their ``store_stats`` so sweeps surface them in
-``cache_stats``.
+Every backoff and every exhausted retry is also counted, per exception
+class, in the process-global metrics registry (``retry_attempts`` /
+``retry_giveups``): pairs fold the per-process deltas of :func:`retry_totals`
+into their ``store_stats`` so sweeps surface them in ``cache_stats``.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-__all__ = ["RetryPolicy", "call_with_retry", "retry_totals"]
+from repro.obs.metrics import MetricFamily, global_registry
+
+__all__ = ["RetryPolicy", "call_with_retry", "retry_counters", "retry_totals"]
 
 T = TypeVar("T")
 
@@ -53,25 +54,40 @@ class RetryPolicy:
         return min(self.base_delay * self.backoff ** (attempt - 1), self.max_delay)
 
 
-#: This process's retry tallies; only deltas are ever read, so a forked
-#: worker inheriting its parent's counts is harmless.
-_TALLY = {"retry_attempts": 0, "retry_giveups": 0}
-_TALLY_LOCK = threading.Lock()
+def retry_counters() -> tuple[MetricFamily, MetricFamily]:
+    """The ``(retry_attempts, retry_giveups)`` counter families, labelled by
+    exception class name.
 
-
-def _count(name: str) -> None:
-    with _TALLY_LOCK:
-        _TALLY[name] += 1
+    Fetched from :func:`~repro.obs.metrics.global_registry` at call time —
+    never cached at import — so forked sweep workers count into their own
+    per-process registry.
+    """
+    registry = global_registry()
+    return (
+        registry.counter(
+            "retry_attempts",
+            "Transient store failures that triggered a backoff-and-retry.",
+            labels=("error",),
+        ),
+        registry.counter(
+            "retry_giveups",
+            "Store operations abandoned after exhausting their retry budget.",
+            labels=("error",),
+        ),
+    )
 
 
 def retry_totals() -> dict[str, int]:
-    """This process's retry tallies.
+    """This process's retry counters summed across error classes.
 
     ``{"retry_attempts": n, "retry_giveups": m}`` — the shape pairs embed in
     ``store_stats`` and :meth:`ExperimentRunner.cache_stats` aggregates.
     """
-    with _TALLY_LOCK:
-        return dict(_TALLY)
+    attempts, giveups = retry_counters()
+    return {
+        "retry_attempts": int(sum(child.value for _, child in attempts.samples())),
+        "retry_giveups": int(sum(child.value for _, child in giveups.samples())),
+    }
 
 
 def call_with_retry(
@@ -96,9 +112,10 @@ def call_with_retry(
         except Exception as exc:
             if should_retry is not None and not should_retry(exc):
                 raise
+            attempts, giveups = retry_counters()
             if attempt == policy.attempts:
-                _count("retry_giveups")
+                giveups.labels(error=type(exc).__name__).inc()
                 raise
-            _count("retry_attempts")
+            attempts.labels(error=type(exc).__name__).inc()
             sleep(policy.delay(attempt))
     raise AssertionError("unreachable")  # pragma: no cover

@@ -149,7 +149,7 @@ def test_tests_dir_lints_clean_and_skips_fixtures():
     assert not any("lint_fixtures" in f.path for f in result.findings)
 
 
-def test_tracer_out_of_lock_mutation_is_caught(tmp_path):
+def test_storeservice_out_of_lock_mutation_is_caught(tmp_path):
     """Injecting an unguarded mutation into the real Tracer trips the race
     checker — the exact regression the lock-discipline check exists for."""
     source = (SRC_REPRO / "obs" / "trace.py").read_text()

@@ -1,6 +1,7 @@
 """Tests for the unified telemetry layer (:mod:`repro.obs`): span tracing
-across threads and process pools, the per-process retry tallies, and the
-``mas-attention obs`` CLI toolchain.
+across threads and process pools; the metrics registry with latency
+histograms; Prometheus text exposition edge cases; the per-process retry
+counters; and the ``mas-attention obs`` CLI toolchain.
 
 The acceptance test at the bottom runs a real multi-process sweep against a
 shared SQLite store with ``MAS_TRACE`` enabled and asserts the two hard
@@ -22,6 +23,8 @@ from repro.exec.pairs import PairSpec, execute_pair
 from repro.exec.runner import ParallelRunner
 from repro.obs import trace as obs_trace
 from repro.obs.export import chrome_trace, read_trace, write_chrome
+from repro.obs.metrics import MetricsRegistry, global_registry
+from repro.obs.prom import escape_label_value, render_registry
 from repro.obs.schema import validate_trace_file
 from repro.obs.summary import summarize_trace
 from repro.obs.trace import TraceContext
@@ -35,6 +38,32 @@ def clean_tracing():
     obs_trace.reset()
     yield
     obs_trace.reset()
+
+
+# --------------------------------------------------------------------------- #
+# TraceContext: the text form
+# --------------------------------------------------------------------------- #
+class TestTraceContext:
+    def test_header_round_trip(self):
+        ctx = TraceContext(trace_id="0123456789abcdef", span_id="0a1b2c3d")
+        assert ctx.to_header() == "0123456789abcdef-0a1b2c3d"
+        assert TraceContext.from_header(ctx.to_header()) == ctx
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            None,
+            "",
+            "nohyphen",
+            "0123456789abcdef",  # trace id only
+            "0123456789abcdef-0a1b2c",  # span id too short
+            "0123456789abcde-0a1b2c3d",  # trace id too short
+            "0123456789abcdeg-0a1b2c3d",  # non-hex trace id
+            "0123456789abcdef-0a1b2c3z",  # non-hex span id
+        ],
+    )
+    def test_malformed_headers_parse_to_none(self, value):
+        assert TraceContext.from_header(value) is None
 
 
 # --------------------------------------------------------------------------- #
@@ -126,6 +155,165 @@ class TestTracer:
         obs_trace.reset()
         spans = {s["name"]: s for s in read_trace(path)}
         assert spans["thread_root"]["parent_id"] is None
+
+
+# --------------------------------------------------------------------------- #
+# Metrics registry: counters, histograms, quantiles
+# --------------------------------------------------------------------------- #
+class TestMetrics:
+    def test_counter_rejects_negative_increment(self):
+        registry = MetricsRegistry()
+        family = registry.counter("things", "Things counted.")
+        family.inc(2)
+        with pytest.raises(ValueError, match="only go up"):
+            family.inc(-1)
+        assert family.value == 2
+
+    def test_registration_is_idempotent_but_rejects_mismatch(self):
+        registry = MetricsRegistry()
+        a = registry.counter("ops", "Ops.", labels=("kind",))
+        assert registry.counter("ops", "Ops again.", labels=("kind",)) is a
+        with pytest.raises(ValueError, match="already registered"):
+            registry.gauge("ops", "Now a gauge?")
+        with pytest.raises(ValueError, match="already registered"):
+            registry.counter("ops", "Different labels.", labels=("other",))
+
+    def test_labels_must_match_declared_names(self):
+        registry = MetricsRegistry()
+        family = registry.counter("ops", "Ops.", labels=("kind",))
+        with pytest.raises(ValueError, match="takes labels"):
+            family.labels(flavor="x")
+        family.labels(kind="read").inc()
+        assert family.snapshot() == {"read": 1}
+
+    def test_histogram_quantiles_are_ordered_and_clamped(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("latency_ms", "Latency.")
+        for value in range(1, 101):  # 1..100 ms, uniform
+            hist.observe(float(value))
+        snap = hist.snapshot()
+        assert snap["count"] == 100
+        assert snap["sum"] == pytest.approx(5050.0)
+        assert snap["min"] == 1.0 and snap["max"] == 100.0
+        # interpolated quantiles stay ordered and inside the observed range
+        assert snap["min"] <= snap["p50"] <= snap["p95"] <= snap["p99"] <= snap["max"]
+        assert 25.0 <= snap["p50"] <= 75.0  # coarse buckets, generous bands
+
+    def test_histogram_single_observation_clamps_to_exact_value(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("latency_ms", "Latency.")
+        hist.observe(3.7)
+        snap = hist.snapshot()
+        # one sample: every quantile must equal the observation, not a
+        # bucket-boundary interpolation
+        assert snap["p50"] == snap["p95"] == snap["p99"] == 3.7
+
+    def test_empty_histogram_snapshot_is_all_zeros(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("latency_ms", "Latency.")
+        assert hist.snapshot() == {
+            "count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
+            "p50": 0.0, "p95": 0.0, "p99": 0.0,
+        }
+
+    def test_overflow_bucket_catches_values_above_the_last_bound(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("latency_ms", "Latency.", buckets=(1.0, 10.0))
+        hist.observe(0.5)
+        hist.observe(99.0)
+        counts = dict(hist._sole_child().bucket_counts())
+        assert counts[1.0] == 1 and counts[None] == 1
+        assert hist._sole_child().quantile(1.0) == 99.0
+
+    def test_global_registry_is_per_process_singleton(self):
+        assert global_registry() is global_registry()
+        counter = global_registry().counter("obs_test_counter", "Test.")
+        counter.inc()
+        assert global_registry().snapshot()["obs_test_counter"] == 1
+
+
+# --------------------------------------------------------------------------- #
+# Prometheus exposition edge cases
+# --------------------------------------------------------------------------- #
+class TestPrometheus:
+    def test_label_values_are_escaped(self):
+        assert escape_label_value('say "hi"') == 'say \\"hi\\"'
+        assert escape_label_value("back\\slash") == "back\\\\slash"
+        assert escape_label_value("two\nlines") == "two\\nlines"
+
+        registry = MetricsRegistry()
+        family = registry.counter("odd", "Odd labels.", labels=("name",))
+        family.labels(name='q"uote\\b\nnl').inc()
+        text = render_registry(registry, "t")
+        assert 't_odd_total{name="q\\"uote\\\\b\\nnl"} 1' in text
+        assert "\nnl" not in text.split("t_odd_total")[1].splitlines()[0]
+
+    def test_zero_valued_unlabelled_counter_still_renders(self):
+        registry = MetricsRegistry()
+        registry.counter("untouched", "Never incremented.")
+        text = render_registry(registry, "t")
+        assert "# TYPE t_untouched_total counter" in text
+        assert "t_untouched_total 0" in text
+
+    def test_empty_histogram_renders_zero_buckets(self):
+        registry = MetricsRegistry()
+        registry.histogram("lat_ms", "Latency.", buckets=(1.0, 10.0))
+        text = render_registry(registry, "t")
+        assert 't_lat_ms_bucket{le="1"} 0' in text
+        assert 't_lat_ms_bucket{le="+Inf"} 0' in text
+        assert "t_lat_ms_sum 0" in text
+        assert "t_lat_ms_count 0" in text
+        assert "nan" not in text.lower() and "None" not in text
+
+    def test_labelled_family_with_no_children_is_skipped(self):
+        registry = MetricsRegistry()
+        registry.counter("latent", "Declared but never used.", labels=("k",))
+        assert "latent" not in render_registry(registry, "t")
+
+    def test_histogram_prom_scale_converts_units(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram(
+            "req_ms", "Latency.", buckets=(100.0,),
+            prom_name="req_seconds", prom_scale=1e-3,
+        )
+        hist.observe(50.0)  # 50 ms
+        text = render_registry(registry, "t")
+        assert 't_req_seconds_bucket{le="0.1"} 1' in text
+        assert "t_req_seconds_sum 0.05" in text
+        assert "t_req_seconds_max 0.05" in text
+
+    def test_json_and_prometheus_views_agree(self):
+        """The JSON snapshot and the text exposition come from one registry:
+        every counter and histogram count must match its text twin."""
+        registry = MetricsRegistry()
+        registry.counter("hits", "Hits.").inc(3)
+        registry.counter("misses", "Misses.").inc(1)
+        ops = registry.counter("ops", "Ops.", labels=("kind",))
+        ops.labels(kind="put").inc(2)
+        latency = registry.histogram(
+            "op_ms", "Latency.", labels=("kind",),
+            prom_name="op_seconds", prom_scale=1e-3,
+        )
+        for latency_ms in (0.5, 2.0, 8.0):
+            latency.labels(kind="lookup").observe(latency_ms)
+
+        snapshot = registry.snapshot()
+        text = render_registry(registry, "t")
+        samples = {
+            name: float(value)
+            for name, value in (
+                line.rsplit(" ", 1) for line in text.splitlines() if not line.startswith("#")
+            )
+        }
+
+        assert samples["t_hits_total"] == snapshot["hits"] == 3
+        assert samples["t_misses_total"] == snapshot["misses"] == 1
+        assert samples['t_ops_total{kind="put"}'] == snapshot["ops"]["put"] == 2
+        lookups = snapshot["op_ms"]["lookup"]
+        assert samples['t_op_seconds_count{kind="lookup"}'] == lookups["count"] == 3
+        assert samples['t_op_seconds_sum{kind="lookup"}'] == pytest.approx(
+            lookups["sum"] * 1e-3
+        )
 
 
 # --------------------------------------------------------------------------- #
